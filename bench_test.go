@@ -22,6 +22,7 @@ import (
 	"latticesim/internal/exp"
 	"latticesim/internal/frame"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/microarch"
 	"latticesim/internal/stats"
 	"latticesim/internal/surface"
@@ -285,7 +286,7 @@ func BenchmarkPipelineRunLowP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl, err := exp.NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +381,7 @@ func BenchmarkPipelineRunWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := exp.NewPipeline(res.Circuit)
+	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func BenchmarkPipelineRunWorkers(b *testing.B) {
 func BenchmarkFrameSamplingParallel(b *testing.B) {
 	for _, d := range []int{3, 5, 7} {
 		res := buildMerge(b, d)
-		pl, err := exp.NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}

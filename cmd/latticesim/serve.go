@@ -22,9 +22,10 @@ func runServe(args []string) error {
 		fmt.Fprintln(fs.Output(), `usage: latticesim serve [flags]
 
 Starts the always-on simulation service: sweep-point, trace, batch and
-campaign jobs are accepted over an HTTP/JSON API, executed by a bounded
-worker pool that shares one build cache and/or by remote nodes
-(`+"`latticesim worker`"+`) pulling leased work units, and their results stored
+campaign jobs are accepted over an HTTP/JSON API, executed by in-process
+nodes sharing one build cache and/or by remote nodes
+(`+"`latticesim worker`"+`) — both pulling leased work units from one queue
+through the same lease protocol — and their results stored
 content-addressed so identical re-submissions are served bit-identically
 from cache. With -workers 0 the process is a pure coordinator: it
 schedules and leases work but executes nothing itself.
@@ -57,7 +58,7 @@ Flags:`)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8642", "listen address")
 		data    = fs.String("data", "serve-data", "result-store directory (\"\" = memory only)")
-		workers = fs.Int("workers", 2, "local queue workers executing jobs concurrently (0 = coordinator-only: all execution happens on remote worker nodes)")
+		workers = fs.Int("workers", 2, "in-process nodes executing jobs concurrently, leasing work like remote nodes (0 = coordinator-only: all execution happens on remote worker nodes)")
 		queue   = fs.Int("queue", 64, "bounded queue depth; submissions beyond it get 503")
 		mcw     = fs.Int("mc-workers", 0, "Monte Carlo worker-pool size per running job (0 = GOMAXPROCS; results are independent of it)")
 		quiet   = fs.Bool("quiet", false, "suppress startup and shutdown log lines")

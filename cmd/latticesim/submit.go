@@ -250,8 +250,8 @@ func submitTrace(args []string) error {
 
 // submitCampaign submits a whole sweep grid through the campaign
 // resource (POST /v1/campaigns): the coordinator cuts it into batch
-// work units, its worker pool and any `latticesim worker` nodes execute
-// them, and the printed aggregate is byte-identical to running
+// work units, its in-process nodes and any `latticesim worker` nodes
+// execute them, and the printed aggregate is byte-identical to running
 // `latticesim sweep -json` over the same grid locally.
 func submitCampaign(args []string) error {
 	fs := flag.NewFlagSet("submit campaign", flag.ExitOnError)

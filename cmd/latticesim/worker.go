@@ -26,8 +26,8 @@ func runWorker(args []string) error {
 
 Joins a running `+"`latticesim serve`"+` coordinator as a worker node: the
 node registers itself, pulls leased work units (sweep points, traces,
-campaign batches) over HTTP, executes them with the same deterministic
-executors the coordinator's own pool uses, and reports results back.
+campaign batches) over HTTP, executes them through the same runner the
+coordinator's in-process nodes use, and reports results back.
 Heartbeats renew each unit's lease; a node that dies mid-unit simply
 stops heartbeating and the coordinator re-leases the work — results are
 byte-identical however many nodes run or fail (API.md, DESIGN.md §15).

@@ -42,7 +42,7 @@ func main() {
 
 	client := latticesim.NewServiceClient("http://" + ln.Addr().String())
 	ctx := context.Background()
-	spec := latticesim.ServiceJobSpec{Type: "sweep", Sweep: &latticesim.ServiceSweepJob{
+	spec := latticesim.ServiceJob{Type: "sweep", Sweep: &latticesim.ServiceSweepJob{
 		Policy: "Passive", TauNs: 500, Shots: 4096, Seed: 1,
 	}}
 

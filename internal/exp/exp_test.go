@@ -8,6 +8,7 @@ import (
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/surface"
 )
 
@@ -18,7 +19,7 @@ func TestPipelineBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPipeline(res.Circuit)
+	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestPipelineDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl1, _ := NewPipeline(res.Circuit)
-	pl2, _ := NewPipeline(res.Circuit)
+	pl1, _ := mc.NewPipeline(res.Circuit)
+	pl2, _ := mc.NewPipeline(res.Circuit)
 	a := pl1.Run(2000, 42)
 	b := pl2.Run(2000, 42)
 	if a.Errors[0] != b.Errors[0] || a.Errors[1] != b.Errors[1] {
@@ -61,7 +62,7 @@ func TestLERFallsWithDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestPassiveSpikesAtMergeRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			t.Fatal(err)
 		}

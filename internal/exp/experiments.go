@@ -13,6 +13,7 @@ import (
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/surface"
 	"latticesim/internal/sweep"
 )
@@ -155,18 +156,18 @@ func SpecForPolicy(d int, basis surface.Basis, hw hardware.Config, p float64,
 // CLI / env knobs reach every figure's inner Monte Carlo loop.
 func runPolicy(d int, basis surface.Basis, hw hardware.Config, p float64,
 	policy core.Policy, tauNs, cyclePNs, cyclePPrimeNs float64, epsNs int64,
-	shots int, seed uint64, workers int) (LERResult, bool, error) {
+	shots int, seed uint64, workers int) (mc.LERResult, bool, error) {
 	spec, _, ok := SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
 	if !ok {
-		return LERResult{}, false, nil
+		return mc.LERResult{}, false, nil
 	}
 	res, err := spec.Build()
 	if err != nil {
-		return LERResult{}, false, err
+		return mc.LERResult{}, false, err
 	}
-	pl, err := NewPipeline(res.Circuit)
+	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
-		return LERResult{}, false, err
+		return mc.LERResult{}, false, err
 	}
 	pl.Workers = workers
 	return pl.Run(shots, seed), true, nil

@@ -14,6 +14,7 @@ import (
 	"latticesim/internal/dem"
 	"latticesim/internal/dropout"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/stats"
 	"latticesim/internal/surface"
 )
@@ -30,7 +31,7 @@ func ExtChain(w io.Writer, o Options) error {
 	hw := hardware.Google()
 	tau := []float64{1000, 500} // patch 0 leads by 1000ns, patch 1 by 500ns
 
-	build := func(policy core.Policy) (LERResult, error) {
+	build := func(policy core.Policy) (mc.LERResult, error) {
 		spec := surface.ChainSpec{D: d, K: 3, Basis: surface.BasisX, HW: hw, P: paperP}
 		switch policy {
 		case core.Passive:
@@ -40,11 +41,11 @@ func ExtChain(w io.Writer, o Options) error {
 		}
 		res, err := spec.Build()
 		if err != nil {
-			return LERResult{}, err
+			return mc.LERResult{}, err
 		}
-		pl, err := NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
-			return LERResult{}, err
+			return mc.LERResult{}, err
 		}
 		pl.Workers = o.Workers
 		return pl.Run(o.Shots, o.Seed), nil
@@ -100,7 +101,7 @@ func ExtAblation(w io.Writer, o Options) error {
 	}
 	m := dem.FromCircuit(res.Circuit)
 	g := decoder.BuildGraph(m)
-	pl, err := NewPipeline(res.Circuit)
+	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
 		return err
 	}

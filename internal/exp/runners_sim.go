@@ -9,6 +9,7 @@ import (
 	"latticesim/internal/decoder"
 	"latticesim/internal/frame"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/stats"
 	"latticesim/internal/surface"
 	"latticesim/internal/sweep"
@@ -61,7 +62,7 @@ func Fig7a(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	pl, err := NewPipeline(res.Circuit)
+	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
 		return err
 	}
@@ -75,11 +76,11 @@ func Fig7a(w io.Writer, o Options) error {
 	// Aggregate into coarse buckets so each row is statistically useful.
 	fmt.Fprintf(w, "%-14s %-10s %-10s %-12s\n", "weight bucket", "shots", "errors", "LER")
 	bucket := func(k int) int { return (k / 5) * 5 }
-	agg := map[int]*WeightBin{}
+	agg := map[int]*mc.WeightBin{}
 	for k, b := range bins {
 		a := agg[bucket(k)]
 		if a == nil {
-			a = &WeightBin{}
+			a = &mc.WeightBin{}
 			agg[bucket(k)] = a
 		}
 		a.Shots += b.Shots
@@ -112,7 +113,7 @@ func Fig7b(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		pl, err := NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			return err
 		}
@@ -248,17 +249,17 @@ func Fig18a(w io.Writer, o Options) error {
 		for _, tau := range []float64{500, 1000} {
 			// Both policies run d+1+R pre-merge rounds; Active distributes
 			// the slack across all of them.
-			mk := func(pol core.Policy) (LERResult, error) {
+			mk := func(pol core.Policy) (mc.LERResult, error) {
 				spec, _, _ := SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, tau, 0, 0, 0)
 				spec.RoundsP = d + 1 + R
 				spec.RoundsPPrime = d + 1 + R
 				res, err := spec.Build()
 				if err != nil {
-					return LERResult{}, err
+					return mc.LERResult{}, err
 				}
-				pl, err := NewPipeline(res.Circuit)
+				pl, err := mc.NewPipeline(res.Circuit)
 				if err != nil {
-					return LERResult{}, err
+					return mc.LERResult{}, err
 				}
 				pl.Workers = o.Workers
 				return pl.Run(o.Shots, o.Seed+uint64(R)), nil
@@ -294,7 +295,7 @@ func Fig18b(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		pl, err := NewPipeline(res.Circuit)
+		pl, err := mc.NewPipeline(res.Circuit)
 		if err != nil {
 			return err
 		}

@@ -106,15 +106,14 @@ func (c *Client) httpClient() *http.Client {
 
 // APIStatusError is a non-2xx server response decoded into its error
 // envelope: the HTTP status, the stable machine-readable code, the
-// message, and the server's retry hint. Legacy servers (pre-envelope
-// {"error": "message"} bodies, tolerated for one schema version — see
-// API.md) and non-JSON bodies decode with Code "".
+// message, and the server's retry hint. A body that is not an envelope
+// (a proxy's plain-text error page) becomes the message, with Code "".
 type APIStatusError struct {
 	// StatusCode is the HTTP status; URL describes the failing request.
 	StatusCode int
 	URL        string
-	// APIError is the decoded envelope payload (Code "" when the server
-	// sent a legacy or non-JSON body).
+	// APIError is the decoded envelope payload (Code "" when the body
+	// was not an envelope).
 	APIError
 }
 
@@ -142,9 +141,9 @@ func ErrorCode(err error) string {
 	return ""
 }
 
-// apiErr converts a non-2xx response into an *APIStatusError, decoding
-// the JSON error envelope (and tolerating the legacy string form and
-// raw text bodies).
+// apiErr converts a non-2xx response into an *APIStatusError — the one
+// parser of error bodies, shared by Client and RemoteStore. It decodes
+// the JSON error envelope; any other body becomes the message verbatim.
 func apiErr(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	se := &APIStatusError{StatusCode: resp.StatusCode}
@@ -152,13 +151,9 @@ func apiErr(resp *http.Response) error {
 		se.URL = resp.Request.Method + " " + resp.Request.URL.String()
 	}
 	var env errorEnvelope
-	var legacy legacyEnvelope
-	switch {
-	case json.Unmarshal(body, &env) == nil && env.Error.Message != "":
+	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
 		se.APIError = env.Error
-	case json.Unmarshal(body, &legacy) == nil && legacy.Error != "":
-		se.Message = legacy.Error
-	default:
+	} else {
 		se.Message = string(bytes.TrimSpace(body))
 	}
 	return se

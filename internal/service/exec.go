@@ -4,50 +4,120 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"latticesim/internal/obs"
 	"latticesim/internal/sweep"
 	"latticesim/internal/trace"
 )
 
-// execute runs one attempt of a resolved job through the batch layer
-// and returns the canonical result bytes that go into the store.
-// Everything here is deterministic: volatile fields (wall times) are
-// zeroed or absent, so two executions of the same resolved spec produce
-// identical bytes — which is what makes crash-safe retries (and the
-// integrity cross-checks on late completions) sound. ctx is the
-// attempt's context: cancellation and timeouts are observed at shard
-// boundaries (sweeps) and merge boundaries (traces), losing work but
-// never changing surviving results. Progress flows through
-// Server.touch, which fences stale attempts and doubles as the lease
-// heartbeat.
-func (s *Server) execute(ctx context.Context, j *job, att int) ([]byte, error) {
-	s.opts.Hooks.beforeExec(ctx, j.snapshot().ID, att)
-	if err := ctx.Err(); err != nil {
+// UnitRunner is the one execution path every leased work unit takes,
+// on the coordinator's in-process nodes (Options.Workers) and on
+// internal/worker's remote nodes alike. The before-hook runs first,
+// then a store probe: a result already stored completes the unit
+// without recomputing it (the other side of a steal race). Only then
+// does the unit execute. Hook and execution share one panic guard and
+// one wall-time bound, the grant's spec.timeout_ms (the spec's own
+// timeout, or else the coordinator's JobTimeout). Execution is
+// deterministic: volatile fields (wall times) are zeroed or absent, so
+// two executions of the same spec produce identical bytes — which is
+// what makes crash-safe retries, and the integrity cross-checks on late
+// completions, sound.
+type UnitRunner struct {
+	// Cache is the build cache units execute against (required).
+	Cache *sweep.BuildCache
+	// MCWorkers sizes each unit's Monte Carlo pool (0 = GOMAXPROCS).
+	MCWorkers int
+	// Metrics, when non-nil, receives the pipeline's shard-duration and
+	// predecoder series (nil disables instrumentation at zero cost).
+	Metrics *obs.Registry
+	// Store, when non-nil, is probed after the before-hook: a unit whose
+	// result is already stored reports complete with the stored bytes.
+	Store StoreBackend
+	// Before, when non-nil, runs first, under the unit's timeout — a
+	// test seam for stalling, failing or panicking a unit. A returned
+	// error fails the unit without executing it.
+	Before func(ctx context.Context, g *LeaseGrant) error
+}
+
+// Run executes the unit g grants and returns its report: "complete"
+// with the result bytes, or "fail" with the error and its reason
+// ("panic", "timeout" or "error"). ctx cancels the unit; cancellation
+// is observed at shard boundaries (sweeps) and merge boundaries
+// (traces), losing work but never changing surviving results.
+// onProgress (nil allowed) observes progress in the unit's native unit
+// and is the transport's lease-renewal trigger.
+func (ur *UnitRunner) Run(ctx context.Context, g *LeaseGrant, onProgress func(Progress)) LeaseUpdate {
+	return ur.run(ctx, g, nil, onProgress)
+}
+
+// run is Run with the unit optionally pre-resolved: in-process nodes
+// hand over the coordinator's resolved job, remote nodes resolve the
+// grant's spec.
+func (ur *UnitRunner) run(ctx context.Context, g *LeaseGrant, r *resolvedJob, onProgress func(Progress)) LeaseUpdate {
+	if t := g.Spec.TimeoutMs; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(t)*time.Millisecond)
+		defer cancel()
+	}
+	panicked := false
+	data, err := func() (data []byte, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				panicked = true
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		if ur.Before != nil {
+			if err := ur.Before(ctx, g); err != nil {
+				return nil, err
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if ur.Store != nil {
+			if data, ok, err := ur.Store.Get(g.Key); err == nil && ok {
+				return data, nil
+			}
+		}
+		if r == nil {
+			if r, err = resolveUnit(g.Spec); err != nil {
+				return nil, err
+			}
+		}
+		return executeResolved(ctx, ur.Cache, r, ur.MCWorkers, onProgress, ur.Metrics)
+	}()
+	switch {
+	case err == nil:
+		return LeaseUpdate{Event: "complete", Result: data}
+	case panicked:
+		return LeaseUpdate{Event: "fail", Error: err.Error(), Reason: "panic"}
+	case ctx.Err() == context.DeadlineExceeded:
+		return LeaseUpdate{Event: "fail", Error: err.Error(), Reason: "timeout"}
+	}
+	return LeaseUpdate{Event: "fail", Error: err.Error(), Reason: "error"}
+}
+
+// ExecuteSpec resolves a job spec and executes it in-process, outside
+// any lease — the reference execution tests and benchmarks compare
+// served bytes against. workers sizes the Monte Carlo pool (0 =
+// GOMAXPROCS); onProgress (nil allowed) observes progress in the job's
+// native unit. Campaign specs are refused: campaigns are scheduled by
+// the coordinator, only their batch children execute.
+func ExecuteSpec(ctx context.Context, cache *sweep.BuildCache, spec JobSpec, workers int, onProgress func(Progress)) ([]byte, error) {
+	r, err := resolveUnit(spec)
+	if err != nil {
 		return nil, err
 	}
-	return executeResolved(ctx, s.opts.Cache, j.res, s.opts.MCWorkers, func(p Progress) {
-		s.touch(j, att, p)
-	}, s.met.reg)
+	if cache == nil {
+		cache = sweep.NewBuildCache()
+	}
+	return executeResolved(ctx, cache, r, workers, onProgress, nil)
 }
 
-// ExecuteSpec resolves a job spec and executes it locally — the entry
-// point worker nodes (internal/worker) use to run leased units with the
-// same executors, build-cache reuse and determinism contract the
-// coordinator's own pool has. workers sizes the Monte Carlo pool (0 =
-// GOMAXPROCS); onProgress (nil allowed) observes progress in the job's
-// native unit and doubles as the caller's heartbeat trigger. Campaign
-// specs are refused: campaigns are scheduled by the coordinator, only
-// their batch children execute on nodes.
-func ExecuteSpec(ctx context.Context, cache *sweep.BuildCache, spec JobSpec, workers int, onProgress func(Progress)) ([]byte, error) {
-	return ExecuteSpecObserved(ctx, cache, spec, workers, onProgress, nil)
-}
-
-// ExecuteSpecObserved is ExecuteSpec with a metric registry: the
-// Monte Carlo pipeline records shard-duration and predecoder series on
-// it (nil disables instrumentation at zero cost — the hot path never
-// checks more than one pointer per shard).
-func ExecuteSpecObserved(ctx context.Context, cache *sweep.BuildCache, spec JobSpec, workers int, onProgress func(Progress), metrics *obs.Registry) ([]byte, error) {
+// resolveUnit resolves a spec for execution, refusing campaigns.
+func resolveUnit(spec JobSpec) (*resolvedJob, error) {
 	if spec.Type == "campaign" {
 		return nil, fmt.Errorf("service: campaign jobs are scheduled by the coordinator, not executed directly")
 	}
@@ -55,15 +125,10 @@ func ExecuteSpecObserved(ctx context.Context, cache *sweep.BuildCache, spec JobS
 	if err != nil {
 		return nil, &SpecError{Err: err}
 	}
-	if cache == nil {
-		cache = sweep.NewBuildCache()
-	}
-	return executeResolved(ctx, cache, r, workers, onProgress, metrics)
+	return r, nil
 }
 
-// executeResolved dispatches a resolved job to its executor. It is
-// deliberately independent of *Server so the coordinator's local pool
-// and remote worker nodes share one code path.
+// executeResolved dispatches a resolved job to its executor.
 func executeResolved(ctx context.Context, cache *sweep.BuildCache, r *resolvedJob, workers int, onProgress func(Progress), metrics *obs.Registry) ([]byte, error) {
 	if onProgress == nil {
 		onProgress = func(Progress) {}

@@ -1,14 +1,15 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 )
 
 // WorkerLocal is the JobStatus.Worker attribution for attempts executed
-// by the coordinator's own pool, distinguishing them from registered
-// remote nodes (whose IDs are "w001", "w002", ...).
+// by the coordinator's in-process nodes, distinguishing them from
+// registered remote nodes (whose IDs are "w001", "w002", ...).
 const WorkerLocal = "local"
 
 // ErrUnknownWorker is returned by LeaseWork for an unregistered (or
@@ -42,13 +43,14 @@ type workerNode struct {
 	info WorkerInfo
 }
 
-// remoteLease ties a granted lease to the job attempt it fences.
-// Immutable after creation; the map holding it is guarded by s.mu.
-type remoteLease struct {
+// leaseRecord ties a granted lease — to an in-process or a remote
+// node — to the job attempt it fences. Immutable after creation; the
+// map holding it is guarded by s.mu.
+type leaseRecord struct {
 	id      string
 	j       *job
 	att     int       // the fencing token minted at grant time
-	wkr     string    // worker ID the unit was leased to
+	wkr     string    // worker ID the unit was leased to (or WorkerLocal)
 	granted time.Time // grant instant (span duration bookkeeping)
 }
 
@@ -58,7 +60,9 @@ type LeaseGrant struct {
 	// LeaseID names this lease on subsequent POST /v1/leases/{id} calls.
 	LeaseID string `json:"lease_id"`
 	// JobID / Key identify the unit; Spec is its full normalized spec,
-	// executable verbatim via ExecuteSpec.
+	// executable verbatim via UnitRunner. Spec.TimeoutMs is the
+	// attempt's effective wall-time bound: the spec's own timeout_ms, or
+	// else the coordinator's JobTimeout (0 = unbounded).
 	JobID string  `json:"job_id"`
 	Key   string  `json:"key"`
 	Spec  JobSpec `json:"spec"`
@@ -96,6 +100,11 @@ type LeaseUpdate struct {
 	Result []byte `json:"result,omitempty"`
 	// Error carries the failure message on "fail".
 	Error string `json:"error,omitempty"`
+	// Reason optionally classifies a "fail": "timeout" (the unit
+	// exceeded spec.timeout_ms) fails the job terminally with stop
+	// reason "timeout"; "panic" and "error" (the default) consume one
+	// attempt and are recorded as the failure's reason.
+	Reason string `json:"reason,omitempty"`
 }
 
 // LeaseAck answers a LeaseUpdate. Valid=false tells the worker its
@@ -162,19 +171,13 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 	}
 	w.info.LastSeenMs = now.UnixMilli()
 
-	// Queue first: pop the oldest runnable entry, exactly like the local
-	// pool's nextJob but non-blocking.
-	for len(s.pending) > 0 {
-		j := s.pending[0]
-		copy(s.pending, s.pending[1:])
-		s.pending[len(s.pending)-1] = nil
-		s.pending = s.pending[:len(s.pending)-1]
-		if att, ok := s.beginRemoteAttemptLocked(j, workerID, now, false); ok {
-			return s.grantLocked(w, j, att, false), nil
-		}
+	if g, _ := s.popGrantLocked(workerID, now, nil); g != nil {
+		w.info.Leased++
+		return g, nil
 	}
 
-	// Tail work-stealing: duplicate a straggling batch child.
+	// Tail work-stealing: duplicate a straggling batch child. Only here,
+	// never on an in-process node's wake: the scan walks the registry.
 	if s.opts.StealAge < 0 {
 		return nil, nil
 	}
@@ -192,93 +195,157 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 		if !stale {
 			continue
 		}
-		if att, ok := s.beginRemoteAttemptLocked(j, workerID, now, true); ok {
+		if g := s.grantLocked(workerID, j, now, true, nil); g != nil {
 			s.met.steals.Inc()
 			s.log.Info("work_steal", "job", id, "worker", workerID, "victim", victim)
-			return s.grantLocked(w, j, att, true), nil
+			w.info.Leased++
+			return g, nil
 		}
 	}
 	return nil, nil
 }
 
-// beginRemoteAttemptLocked transitions a job to running on a remote
-// worker and mints its attempt token. For a steal (running job) the
-// previous holder's cancel func is retained: a local straggler can
-// still be reclaimed by cancel/expiry, and a remote one holds no
-// context anyway. Caller holds s.mu.
-func (s *Server) beginRemoteAttemptLocked(j *job, workerID string, now time.Time, steal bool) (int, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if steal {
-		if j.status.State != StateRunning {
-			return 0, false
+// popGrantLocked grants the oldest runnable queued job to worker wkr,
+// skipping entries canceled (or completed by a late attempt) while
+// queued. Returns nil when nothing is runnable. Caller holds s.mu.
+func (s *Server) popGrantLocked(wkr string, now time.Time, cancel context.CancelFunc) (*LeaseGrant, *job) {
+	for len(s.pending) > 0 {
+		j := s.pending[0]
+		copy(s.pending, s.pending[1:])
+		s.pending[len(s.pending)-1] = nil
+		s.pending = s.pending[:len(s.pending)-1]
+		if g := s.grantLocked(wkr, j, now, false, cancel); g != nil {
+			return g, j
 		}
-	} else if j.status.State != StateQueued {
-		return 0, false
+	}
+	return nil, nil
+}
+
+// grantLocked starts the next attempt of j on worker wkr — a queued
+// job, or for a steal a running one — mints its attempt token, arms
+// the lease and records it, and returns the grant (nil when j is not in
+// the expected state). cancel is the attempt's cancel func: an
+// in-process node's context, nil for a remote node, whose reclamation
+// is the lease expiring. A steal keeps the previous holder's. Caller
+// holds s.mu.
+func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, cancel context.CancelFunc) *LeaseGrant {
+	want := StateQueued
+	if steal {
+		want = StateRunning
+	}
+	j.mu.Lock()
+	if j.status.State != want {
+		j.mu.Unlock()
+		return nil
 	}
 	j.status.State = StateRunning
 	j.status.Attempt++
 	j.status.Progress = Progress{}
-	j.status.Worker = workerID
+	j.status.Worker = wkr
+	if !steal {
+		j.cancel = cancel
+	}
 	j.lease = now.Add(s.opts.Lease)
 	j.attemptStart = now
+	st := j.status
 	j.broadcastLocked()
-	s.met.attempts.Inc()
-	return j.status.Attempt, true
-}
+	j.mu.Unlock()
 
-// grantLocked mints the lease record for an attempt just begun.
-// Caller holds s.mu.
-func (s *Server) grantLocked(w *workerNode, j *job, att int, stolen bool) *LeaseGrant {
 	s.nextLease++
-	l := &remoteLease{
-		id:      fmt.Sprintf("l%06d", s.nextLease),
-		j:       j,
-		att:     att,
-		wkr:     w.info.ID,
-		granted: time.Now(),
-	}
+	l := &leaseRecord{id: fmt.Sprintf("l%06d", s.nextLease), j: j, att: st.Attempt, wkr: wkr, granted: now}
 	s.leases[l.id] = l
-	w.info.Leased++
+	s.met.attempts.Inc()
 	s.met.leaseGrants.Inc()
-	st := j.snapshot()
 	s.startAttemptSpan(st)
 	s.startLeaseSpan(l, st)
+	spec := j.res.spec
+	if spec.TimeoutMs == 0 && s.opts.JobTimeout > 0 {
+		spec.TimeoutMs = (s.opts.JobTimeout + time.Millisecond - 1).Milliseconds()
+	}
 	return &LeaseGrant{
 		LeaseID: l.id,
 		JobID:   st.ID,
 		Key:     j.res.key,
-		Spec:    j.res.spec,
-		Attempt: att,
+		Spec:    spec,
+		Attempt: l.att,
 		LeaseMs: s.opts.Lease.Milliseconds(),
-		Stolen:  stolen,
+		Stolen:  steal,
 		TraceID: st.TraceID,
 	}
 }
 
-// UpdateLease applies a worker's report on a leased unit. An unknown
+// localNode is one of the Options.Workers in-process nodes. It speaks
+// the lease protocol without HTTP: it takes work through
+// popGrantLocked, as LeaseWork does, runs each unit through the
+// UnitRunner remote nodes use, and hands the report to UpdateLease. Its
+// attempts are attributed to WorkerLocal and it is not registered under
+// /v1/workers. Unlike a remote node it blocks on s.cond while idle
+// instead of polling, renews its lease through touch on every progress
+// event instead of heartbeating, and its attempt's cancel func
+// (Cancel, lease expiry) stops the unit promptly.
+func (s *Server) localNode() {
+	defer s.wg.Done()
+	runner := UnitRunner{
+		Cache: s.opts.Cache, MCWorkers: s.opts.MCWorkers, Metrics: s.met.reg, Store: s.store,
+		Before: func(ctx context.Context, g *LeaseGrant) error {
+			s.opts.Hooks.beforeExec(ctx, g.JobID, g.Attempt)
+			return nil
+		},
+	}
+	for {
+		ctx, cancel := context.WithCancel(context.Background())
+		g, j := s.leaseLocal(cancel)
+		if g == nil {
+			cancel()
+			return
+		}
+		u := runner.run(ctx, g, j.res, func(p Progress) { s.touch(j, g.Attempt, p) })
+		cancel()
+		s.UpdateLease(g.LeaseID, u)
+	}
+}
+
+// leaseLocal blocks until a queued job is granted to an in-process node
+// with cancel as its attempt's cancel func, or returns nil once the
+// server is closing.
+func (s *Server) leaseLocal(cancel context.CancelFunc) (*LeaseGrant, *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.closed {
+		if g, j := s.popGrantLocked(WorkerLocal, time.Now(), cancel); g != nil {
+			return g, j
+		}
+		s.cond.Wait()
+	}
+	return nil, nil
+}
+
+// UpdateLease applies a node's report on a leased unit — the one
+// completion path for in-process and remote attempts alike. An unknown
 // lease ID is not an error — the coordinator may have garbage-collected
 // it, or restarted — the worker just learns Valid=false and moves on.
-// Completion reports route through exactly the machinery local
-// attempts use: store-then-transition on success, retry-or-fail on
-// failure, and the integrity cross-check for reports whose attempt
-// token was superseded (a stolen unit's straggler, an expired lease's
-// zombie). A mismatch there names the reporting worker in the
-// integrity_error, so a nondeterministic (or corrupting) node is
-// identifiable fleet-wide.
+// A terminal report retires the lease record: store-then-transition on
+// success, timeout or retry-or-fail on failure, and the integrity
+// cross-check for reports whose attempt token was superseded (a stolen
+// unit's straggler, an expired lease's zombie). A mismatch there names
+// the reporting worker in the integrity_error, so a nondeterministic
+// (or corrupting) node is identifiable fleet-wide.
 func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 	now := time.Now()
 	s.mu.Lock()
 	l, ok := s.leases[leaseID]
-	if !ok {
-		s.mu.Unlock()
-		return LeaseAck{}, nil
-	}
-	w := s.workers[l.wkr]
-	if w != nil {
-		w.info.LastSeenMs = now.UnixMilli()
+	if ok {
+		if w := s.workers[l.wkr]; w != nil {
+			w.info.LastSeenMs = now.UnixMilli()
+		}
+		if u.Event == "complete" || u.Event == "fail" {
+			delete(s.leases, leaseID)
+		}
 	}
 	s.mu.Unlock()
+	if !ok {
+		return LeaseAck{}, nil
+	}
 
 	j := l.j
 	switch u.Event {
@@ -292,7 +359,6 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		return LeaseAck{Valid: st.State == StateRunning && st.Attempt == l.att}, nil
 
 	case "complete":
-		s.resolveLease(leaseID)
 		j.mu.Lock()
 		owns := j.status.Attempt == l.att && !j.status.Terminal()
 		j.mu.Unlock()
@@ -326,11 +392,12 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		return LeaseAck{Valid: true}, nil
 
 	case "fail":
-		s.resolveLease(leaseID)
 		j.mu.Lock()
 		owns := j.status.Attempt == l.att && j.status.State == StateRunning
 		j.mu.Unlock()
 		if !owns {
+			// Superseded: a canceled or expired attempt's error adds
+			// nothing to the job that replaced it.
 			s.endLeaseSpan(l, "superseded")
 			return LeaseAck{}, nil
 		}
@@ -340,18 +407,17 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		if msg == "" {
 			msg = "worker reported failure without a message"
 		}
-		s.retryOrFail(j, l.att, "error", errors.New(msg), now)
+		switch u.Reason {
+		case "timeout":
+			s.timeoutJob(j, l.att, now)
+		case "panic":
+			s.retryOrFail(j, l.att, "panic", errors.New(msg), now)
+		default:
+			s.retryOrFail(j, l.att, "error", errors.New(msg), now)
+		}
 		return LeaseAck{Valid: true}, nil
 	}
 	return LeaseAck{}, fmt.Errorf("service: unknown lease event %q", u.Event)
-}
-
-// resolveLease retires a lease record once its worker has reported a
-// terminal outcome for it.
-func (s *Server) resolveLease(leaseID string) {
-	s.mu.Lock()
-	delete(s.leases, leaseID)
-	s.mu.Unlock()
 }
 
 // countOutcome tallies a completion or failure on the worker's record.

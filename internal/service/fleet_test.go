@@ -163,16 +163,18 @@ func TestErrorEnvelopeOnEveryEndpoint(t *testing.T) {
 	}
 }
 
-// TestClientToleratesLegacyErrorBody checks the one-version tolerance
-// promised in API.md: a pre-envelope server answering with the legacy
-// {"error": "message"} body (or plain text) still yields a structured
-// client error, just without a code.
+// TestClientToleratesLegacyErrorBody checks the two error-body shapes
+// the one parser (apiErr) accepts, through both of its callers — the
+// Client and RemoteStore: the JSON envelope decodes into code and
+// message, and a body that is not one (a proxy's plain-text page)
+// becomes the message verbatim, with no code.
 func TestClientToleratesLegacyErrorBody(t *testing.T) {
+	key := strings.Repeat("ab", 32)
 	for _, tc := range []struct {
-		name, body, wantMsg string
+		name, body, wantCode, wantMsg string
 	}{
-		{"legacy JSON", `{"error":"queue is full"}`, "queue is full"},
-		{"plain text", "service unavailable", "service unavailable"},
+		{"envelope", `{"error":{"code":"queue_full","message":"queue is full"}}`, CodeQueueFull, "queue is full"},
+		{"plain text", "service unavailable", "", "service unavailable"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -184,11 +186,15 @@ func TestClientToleratesLegacyErrorBody(t *testing.T) {
 			if !errors.As(err, &apiErr) {
 				t.Fatalf("error is %T (%v), want *APIStatusError", err, err)
 			}
-			if apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Code != "" {
-				t.Fatalf("got status %d code %q, want 503 with no code", apiErr.StatusCode, apiErr.Code)
+			if apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Code != tc.wantCode {
+				t.Fatalf("got status %d code %q, want 503 with code %q", apiErr.StatusCode, apiErr.Code, tc.wantCode)
 			}
 			if !strings.Contains(apiErr.Message, tc.wantMsg) {
 				t.Fatalf("message %q does not contain %q", apiErr.Message, tc.wantMsg)
+			}
+			_, _, err = NewRemoteStore(hs.URL, nil).Get(key)
+			if !errors.As(err, &apiErr) || apiErr.Code != tc.wantCode || !strings.Contains(apiErr.Message, tc.wantMsg) {
+				t.Fatalf("remote store error = %v, want code %q and message %q", err, tc.wantCode, tc.wantMsg)
 			}
 		})
 	}

@@ -14,12 +14,13 @@ import "context"
 // invariants. See internal/faultinject for the deterministic injector
 // that drives them.
 type Hooks struct {
-	// BeforeExec runs at the top of every execution attempt, before any
-	// batch work, with the attempt's context. It may panic (the worker's
-	// recovery path turns that into a retried attempt), and it may block
-	// to simulate a stalled worker — a blocked hook should honor ctx so
-	// the goroutine can be reclaimed once the watchdog expires the lease
-	// or the job is canceled.
+	// BeforeExec runs at the top of every attempt an in-process node
+	// executes, before any batch work, with the attempt's context (its
+	// timeout included). It may panic (the UnitRunner's panic guard turns
+	// that into a retried attempt), and it may block to simulate a
+	// stalled worker — a blocked hook should honor ctx so the goroutine
+	// can be reclaimed once the watchdog expires the lease or the job is
+	// canceled.
 	BeforeExec func(ctx context.Context, jobID string, attempt int)
 	// StorePut intercepts result bytes on their way into the store and
 	// returns the bytes actually written to the object file. Returning a

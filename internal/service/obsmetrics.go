@@ -72,7 +72,7 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 
 		submitted:       reg.Counter("latticesim_jobs_submitted_total", "Submissions that registered a job (cache hits, fresh jobs, and campaign parents; batch children excluded)."),
 		storeHits:       reg.Counter("latticesim_store_hits_total", "Submissions answered straight from the result store."),
-		attempts:        reg.Counter("latticesim_attempts_total", "Execution attempts dispatched (local pool and remote leases)."),
+		attempts:        reg.Counter("latticesim_attempts_total", "Execution attempts dispatched, each under its own lease."),
 		requeues:        reg.Counter("latticesim_requeues_total", "Crash-recovery requeues: panics, execution errors, expired leases."),
 		cancels:         reg.Counter("latticesim_cancellations_total", "Cancel calls that stopped a live job."),
 		steals:          reg.Counter("latticesim_steals_total", "Tail work-steals: straggler batch attempts duplicated to an idle node."),
@@ -81,8 +81,8 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 		integrityChecks: reg.Counter("latticesim_integrity_checks_total", "Late-completion byte-compares against the stored result."),
 		integrityFails:  reg.Counter("latticesim_integrity_failures_total", "Byte-compares that found a mismatch (always 0 unless determinism is broken)."),
 
-		leaseGrants:   reg.Counter("latticesim_lease_grants_total", "Remote leases granted (steals included)."),
-		leaseRenewals: reg.Counter("latticesim_lease_renewals_total", "Lease renewals: progress events and remote heartbeats."),
+		leaseGrants:   reg.Counter("latticesim_lease_grants_total", "Leases granted to in-process and remote nodes (steals included)."),
+		leaseRenewals: reg.Counter("latticesim_lease_renewals_total", "Lease renewals: in-process progress events and remote heartbeats."),
 		leaseExpiries: reg.Counter("latticesim_lease_expiries_total", "Attempts the watchdog declared dead after a missed heartbeat."),
 		heartbeatAge:  reg.Histogram("latticesim_lease_heartbeat_age_seconds", "Time since the previous lease renewal, observed at each renewal.", nil),
 
@@ -95,7 +95,7 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 		queueDepth:   reg.Gauge("latticesim_queue_depth", "Pending queue entries (fresh submissions and requeues)."),
 		queueFresh:   reg.Gauge("latticesim_queue_fresh", "Pending entries that have never run — the population the QueueDepth bound applies to."),
 		jobsByState:  reg.GaugeVec("latticesim_jobs", "Registered jobs by state (campaign batch children included).", "state"),
-		activeLeases: reg.Gauge("latticesim_active_leases", "Remote attempts currently leased out and still owning their job."),
+		activeLeases: reg.Gauge("latticesim_active_leases", "Attempts currently leased out and still owning their job."),
 		workersGauge: reg.Gauge("latticesim_workers", "Registered worker nodes."),
 		batchesOut:   reg.Gauge("latticesim_campaign_batches_outstanding", "Campaign batch children not yet terminal."),
 	}
@@ -262,9 +262,9 @@ func (s *Server) endAttemptSpan(st JobStatus, att int, start time.Time, outcome 
 	}, start, outcome)
 }
 
-// startLeaseSpan emits a remote lease's start event (child of the
-// attempt it fences).
-func (s *Server) startLeaseSpan(l *remoteLease, st JobStatus) {
+// startLeaseSpan emits a lease's start event (child of the attempt it
+// fences).
+func (s *Server) startLeaseSpan(l *leaseRecord, st JobStatus) {
 	if s.spans == nil {
 		return
 	}
@@ -275,7 +275,7 @@ func (s *Server) startLeaseSpan(l *remoteLease, st JobStatus) {
 }
 
 // endLeaseSpan emits a lease's end event.
-func (s *Server) endLeaseSpan(l *remoteLease, outcome string) {
+func (s *Server) endLeaseSpan(l *leaseRecord, outcome string) {
 	if s.spans == nil {
 		return
 	}
@@ -293,7 +293,7 @@ func (s *Server) endLeaseSpans(j *job, att int, outcome string) {
 		return
 	}
 	s.mu.Lock()
-	var ls []*remoteLease
+	var ls []*leaseRecord
 	for _, l := range s.leases {
 		if l.j == j && l.att == att {
 			ls = append(ls, l)

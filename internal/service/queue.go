@@ -35,7 +35,7 @@ func (e *QuotaError) Error() string {
 }
 
 // Options configures a Server. The zero value is usable: a memory-only
-// store, 2 queue workers, a 64-deep queue, and a private build cache.
+// store, 2 in-process nodes, a 64-deep queue, and a private build cache.
 type Options struct {
 	// DataDir roots the content-addressed result store; "" keeps results
 	// in memory only (they die with the process).
@@ -44,10 +44,11 @@ type Options struct {
 	// ignored. The built-in disk/memory store is the default; a
 	// RemoteStore chains this server to another coordinator's store.
 	Store StoreBackend
-	// Workers is the number of queue workers executing jobs concurrently
-	// (0 = 2; negative = none — a coordinator-only server whose work is
-	// executed entirely by remote worker nodes). Results never depend on
-	// it.
+	// Workers is the number of in-process nodes executing jobs
+	// concurrently (0 = 2; negative = none — a coordinator-only server
+	// whose work is executed entirely by remote worker nodes). They lease
+	// work exactly like remote nodes, attributed to WorkerLocal. Results
+	// never depend on it.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs
 	// (0 = 64); submissions beyond it fail with ErrQueueFull. Requeues of
@@ -55,7 +56,7 @@ type Options struct {
 	// competes with fresh submissions for queue room.
 	QueueDepth int
 	// MCWorkers is the Monte Carlo worker-pool size each running job
-	// uses (0 = GOMAXPROCS). With several queue workers, a small value
+	// uses (0 = GOMAXPROCS). With several in-process nodes, a small value
 	// avoids oversubscribing the CPUs; results never depend on it.
 	MCWorkers int
 	// JobHistory bounds the job registry (0 = 4096): when exceeded, the
@@ -77,7 +78,8 @@ type Options struct {
 	// to undisturbed ones — determinism makes the retry safe.
 	Lease time.Duration
 	// JobTimeout, when > 0, is the default wall-time bound per execution
-	// attempt; a job's spec TimeoutMs overrides it. Exceeding the bound
+	// attempt; a job's spec TimeoutMs overrides it. Lease grants carry
+	// the effective bound, so remote nodes enforce it too. Exceeding it
 	// fails the job with stop reason "timeout".
 	JobTimeout time.Duration
 	// TenantQuota, when > 0, bounds each tenant's live work units —
@@ -162,11 +164,11 @@ type job struct {
 	mu      sync.Mutex
 	status  JobStatus
 	changed chan struct{}
-	// cancel stops the current attempt's context (nil when no attempt is
-	// running, and for remote attempts — their reclamation is the lease
-	// expiring). lease is the current attempt's heartbeat deadline,
-	// renewed on every progress event; the watchdog reaps attempts past
-	// it.
+	// cancel stops the current in-process attempt's context (nil when no
+	// attempt is running, and for remote attempts — their reclamation is
+	// the lease expiring). lease is the current attempt's heartbeat
+	// deadline, renewed on every progress event or heartbeat; the
+	// watchdog reaps attempts past it.
 	cancel context.CancelFunc
 	lease  time.Time
 	// attemptStart is when the current attempt began (zero when no
@@ -239,10 +241,10 @@ func (j *job) watch(ctx context.Context, fn func(JobStatus) error) (JobStatus, e
 	}
 }
 
-// Server is the embeddable simulation service: a bounded job queue, a
-// worker pool sharing one build cache, and a content-addressed result
-// store. Create one with New, expose it over HTTP via Handler, and stop
-// it with Close. All methods are safe for concurrent use.
+// Server is the embeddable simulation service: a bounded job queue,
+// in-process nodes sharing one build cache, and a content-addressed
+// result store. Create one with New, expose it over HTTP via Handler,
+// and stop it with Close. All methods are safe for concurrent use.
 //
 // Lock ordering: s.mu may be taken and then a job's j.mu, never the
 // reverse.
@@ -258,11 +260,11 @@ type Server struct {
 	inflight map[string]*job // content key → live (queued/running) job
 	nextID   int
 	closed   bool
-	// Fleet state: registered worker nodes, live remote leases, campaign
-	// bookkeeping (campaign job ID → campaign; child job → number of
-	// live campaigns referencing it).
+	// Fleet state: registered worker nodes, live leases (in-process and
+	// remote), campaign bookkeeping (campaign job ID → campaign; child
+	// job → number of live campaigns referencing it).
 	workers   map[string]*workerNode
-	leases    map[string]*remoteLease
+	leases    map[string]*leaseRecord
 	nextWkr   int
 	nextLease int
 	campaigns map[string]*campaign
@@ -281,8 +283,8 @@ type Server struct {
 	cwg  sync.WaitGroup // campaign monitor goroutines (waited after wg)
 }
 
-// New starts a server: it opens the store and launches the worker pool
-// and the lease watchdog.
+// New starts a server: it opens the store and launches the in-process
+// nodes and the lease watchdog.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	backend := opts.Store
@@ -308,7 +310,7 @@ func New(opts Options) (*Server, error) {
 		jobs:      make(map[string]*job),
 		inflight:  make(map[string]*job),
 		workers:   make(map[string]*workerNode),
-		leases:    make(map[string]*remoteLease),
+		leases:    make(map[string]*leaseRecord),
 		campaigns: make(map[string]*campaign),
 		childRefs: make(map[*job]int),
 		tenants:   make(map[string]int),
@@ -318,7 +320,7 @@ func New(opts Options) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	for w := 0; w < opts.Workers; w++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.localNode()
 	}
 	s.wg.Add(1)
 	go s.watchdog()
@@ -620,8 +622,9 @@ type Stats struct {
 	IntegrityChecks   int `json:"integrity_checks"`
 	IntegrityFailures int `json:"integrity_failures"`
 	StoreCorruptions  int `json:"store_corruptions"`
-	// Fleet counters. Workers counts registered worker nodes;
-	// ActiveLeases counts remote attempts currently leased out; Steals
+	// Fleet counters. Workers counts registered worker nodes (in-process
+	// nodes are not registered); ActiveLeases counts attempts currently
+	// leased out, to in-process and remote nodes alike; Steals
 	// counts tail work-steals (straggler attempts duplicated to an idle
 	// node); Campaigns counts campaigns ever scheduled (store hits
 	// excluded); QuotaRejections counts submissions refused by tenant
@@ -693,12 +696,13 @@ func (s *Server) Stats() Stats {
 }
 
 // Close stops the server: no new submissions are accepted, running
-// local attempts finish (Close does not cancel them), and jobs still
-// queued are failed with ErrClosed's message and stop reason
-// "shutdown". Jobs still running once the local pool has drained are
-// necessarily remote-leased attempts or campaign parents — neither can
-// make progress on a closed server, so they are failed the same way,
-// which in turn unblocks every campaign monitor before Close returns.
+// in-process attempts finish (Close does not cancel them), and jobs
+// still queued are failed with ErrClosed's message and stop reason
+// "shutdown". Jobs still running once the in-process nodes have exited
+// are necessarily remote-leased attempts or campaign parents — neither
+// can make progress on a closed server, so they are failed the same
+// way, which in turn unblocks every campaign monitor before Close
+// returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -711,8 +715,8 @@ func (s *Server) Close() {
 
 	close(s.quit)
 	s.wg.Wait()
-	// Workers and the watchdog are gone; whatever is left pending never
-	// (re)started.
+	// The in-process nodes and the watchdog are gone; whatever is left
+	// pending never (re)started.
 	s.mu.Lock()
 	pending := s.pending
 	s.pending = nil
@@ -759,44 +763,6 @@ func (s *Server) Close() {
 	s.cwg.Wait()
 }
 
-// worker drains the pending queue until Close.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.nextJob()
-		if j == nil {
-			return
-		}
-		s.runAttempt(j)
-	}
-}
-
-// nextJob blocks until a runnable job is pending (skipping entries that
-// were canceled — or completed by a late attempt — while queued) or the
-// server is closing, in which case it returns nil.
-func (s *Server) nextJob() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.pending) > 0 {
-			j := s.pending[0]
-			copy(s.pending, s.pending[1:])
-			s.pending[len(s.pending)-1] = nil
-			s.pending = s.pending[:len(s.pending)-1]
-			j.mu.Lock()
-			runnable := j.status.State == StateQueued
-			j.mu.Unlock()
-			if runnable {
-				return j
-			}
-		}
-		if s.closed {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
 // watchdog periodically reaps running attempts whose lease expired: the
 // worker is presumed wedged (or its execution stalled), the attempt's
 // context is canceled so the goroutine can be reclaimed, and the job is
@@ -822,11 +788,11 @@ func (s *Server) watchdog() {
 // reapExpired scans running jobs and expires those past their lease.
 // Campaign parents are skipped — they hold no lease (their liveness is
 // their children's), and their terminal transitions belong to the
-// campaign monitor. The sweep also garbage-collects remote lease
-// records whose job has been terminal for over a lease period: kept
-// that long so a straggler's late completion still reaches the
-// integrity cross-check, dropped after so a long-lived coordinator's
-// lease table stays flat.
+// campaign monitor. The sweep also garbage-collects lease records that
+// never got a terminal report (a dead node's) once their job has been
+// terminal for over a lease period: kept that long so a straggler's
+// late completion still reaches the integrity cross-check, dropped
+// after so a long-lived coordinator's lease table stays flat.
 func (s *Server) reapExpired(now time.Time) {
 	s.mu.Lock()
 	var expired []*job
@@ -948,64 +914,6 @@ func (s *Server) settle(j *job) {
 	}
 }
 
-// runAttempt executes one attempt of a dequeued job, with panic
-// recovery: a panicking executor (a decoder bug, an injected fault)
-// costs the job one attempt, never the worker or the server.
-func (s *Server) runAttempt(j *job) {
-	att, ctx, cancel, ok := s.beginAttempt(j)
-	if !ok {
-		return // canceled (or otherwise settled) between dequeue and start
-	}
-	defer cancel()
-	var data []byte
-	var err error
-	panicked := false
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				panicked = true
-				err = fmt.Errorf("%v", p)
-			}
-		}()
-		data, err = s.execute(ctx, j, att)
-	}()
-	s.finishAttempt(j, att, ctx, data, err, panicked)
-}
-
-// beginAttempt transitions a queued job to running: it mints the next
-// attempt token, resets progress, arms the lease, and builds the
-// attempt context (with the job's timeout, or the server default).
-func (s *Server) beginAttempt(j *job) (att int, ctx context.Context, cancel context.CancelFunc, ok bool) {
-	timeout := s.opts.JobTimeout
-	if j.res.timeout > 0 {
-		timeout = j.res.timeout
-	}
-	j.mu.Lock()
-	if j.status.State != StateQueued {
-		j.mu.Unlock()
-		return 0, nil, nil, false
-	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), timeout)
-	} else {
-		ctx, cancel = context.WithCancel(context.Background())
-	}
-	j.status.State = StateRunning
-	j.status.Attempt++
-	j.status.Progress = Progress{}
-	j.status.Worker = WorkerLocal
-	att = j.status.Attempt
-	j.cancel = cancel
-	j.lease = time.Now().Add(s.opts.Lease)
-	j.attemptStart = time.Now()
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.met.attempts.Inc()
-	s.startAttemptSpan(st)
-	return att, ctx, cancel, true
-}
-
 // touch applies a progress update for attempt att and renews its lease.
 // Stale attempts (superseded, expired or terminal) are fenced off, so a
 // zombie worker can neither roll a retried job's progress back nor keep
@@ -1043,58 +951,6 @@ func (s *Server) touch(j *job, att int, p Progress) {
 	if rate > 0 {
 		s.met.shotsPerSec.With(id).Set(rate)
 	}
-}
-
-// finishAttempt routes an attempt's outcome. The attempt token decides
-// whether this executor still owns the job: a stale completion (the
-// watchdog expired it, a retry is running or already finished, or the
-// job was canceled) must not touch job state — but if it produced
-// result bytes, those are byte-compared against the stored result as a
-// free cross-execution integrity check (DESIGN.md §14).
-func (s *Server) finishAttempt(j *job, att int, ctx context.Context, data []byte, err error, panicked bool) {
-	now := time.Now()
-	j.mu.Lock()
-	state := j.status.State
-	owns := j.status.Attempt == att && !j.status.Terminal()
-	j.mu.Unlock()
-
-	if !owns {
-		if data != nil && err == nil {
-			s.integrityCheck(j, data, WorkerLocal)
-		}
-		return
-	}
-
-	if err == nil {
-		// Success — store first, then the terminal transition, so a
-		// coalescing resubmission never misses both.
-		perr := s.store.Put(j.res.key, data)
-		switch {
-		case perr == nil:
-			s.completeJob(j, att)
-		case errors.Is(perr, ErrStoreMismatch):
-			s.integrityFail(j, perr)
-		default:
-			s.retryOrFail(j, att, "error", perr, now)
-		}
-		return
-	}
-
-	if state == StateQueued {
-		// The watchdog already expired this attempt and scheduled the
-		// retry; the zombie's error (usually context.Canceled from the
-		// expiry) adds nothing.
-		return
-	}
-	if ctx.Err() == context.DeadlineExceeded {
-		s.timeoutJob(j, att, now)
-		return
-	}
-	reason := "error"
-	if panicked {
-		reason = "panic"
-	}
-	s.retryOrFail(j, att, reason, err, now)
 }
 
 // completeJob marks attempt att's job done (no-op if superseded).
@@ -1177,7 +1033,7 @@ func (s *Server) retryOrFail(j *job, att int, reason string, err error, now time
 // store. Determinism says they must match; a mismatch flips the job to
 // integrity_error — even a job already marked done, because the service
 // can no longer vouch for which bytes are canonical. worker names the
-// source of the late bytes ("local" or a worker ID) so a cross-node
+// source of the late bytes (WorkerLocal or a worker ID) so a cross-node
 // mismatch identifies the offending box.
 func (s *Server) integrityCheck(j *job, data []byte, worker string) {
 	s.met.integrityChecks.Inc()

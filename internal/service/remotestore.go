@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,21 +42,6 @@ func (s *RemoteStore) client() *http.Client {
 	return http.DefaultClient
 }
 
-// remoteAPIError decodes an error response body into a message,
-// preferring the envelope (and tolerating the legacy string form).
-func remoteAPIError(resp *http.Response) (code, msg string) {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var env errorEnvelope
-	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
-		return env.Error.Code, env.Error.Message
-	}
-	var legacy legacyEnvelope
-	if json.Unmarshal(body, &legacy) == nil && legacy.Error != "" {
-		return "", legacy.Error
-	}
-	return "", string(bytes.TrimSpace(body))
-}
-
 // Get fetches the blob under key from the coordinator; a 404 is a miss,
 // not an error.
 func (s *RemoteStore) Get(key string) ([]byte, bool, error) {
@@ -79,8 +63,7 @@ func (s *RemoteStore) Get(key string) ([]byte, bool, error) {
 	case http.StatusNotFound:
 		return nil, false, nil
 	}
-	_, msg := remoteAPIError(resp)
-	return nil, false, fmt.Errorf("service: remote store: GET %s: %s: %s", key[:8], resp.Status, msg)
+	return nil, false, fmt.Errorf("service: remote store: GET %s: %w", key[:8], apiErr(resp))
 }
 
 // Put writes the blob through the coordinator. A 409 means the
@@ -110,8 +93,7 @@ func (s *RemoteStore) Put(key string, data []byte) error {
 	case http.StatusConflict:
 		return fmt.Errorf("%w %s (remote)", ErrStoreMismatch, key)
 	}
-	_, msg := remoteAPIError(resp)
-	return fmt.Errorf("service: remote store: PUT %s: %s: %s", key[:8], resp.Status, msg)
+	return fmt.Errorf("service: remote store: PUT %s: %w", key[:8], apiErr(resp))
 }
 
 // Stats reports blobs this process wrote through the proxy; corruption

@@ -1,6 +1,7 @@
 // Package service is the always-on serving layer over the batch
 // simulator: an embeddable job-queue server (exposed as `latticesim
-// serve`) with a small HTTP/JSON API, a bounded worker pool, and a
+// serve`) with a small HTTP/JSON API, a bounded queue drained by
+// in-process and remote nodes through one lease protocol, and a
 // content-addressed result store.
 //
 // Two job kinds exist, mirroring the two batch entry points. A sweep job
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
@@ -269,8 +269,8 @@ type JobStatus struct {
 	// dispatched. Progress resets at the start of every attempt.
 	Attempt int `json:"attempt,omitempty"`
 	// Worker names the holder of the current (or last) attempt: "local"
-	// for the server's own pool, the registered worker name for a leased
-	// remote attempt, empty while never dispatched.
+	// for the server's in-process nodes, the registered worker ID for a
+	// remote node, empty while never dispatched.
 	Worker string `json:"worker,omitempty"`
 	// Tenant is the submitting tenant (the X-Tenant header; "default"
 	// when unset). Quotas and admission control are per tenant.
@@ -314,7 +314,7 @@ type AttemptFailure struct {
 	// Error is the underlying message, when there is one.
 	Error string `json:"error,omitempty"`
 	// Worker names the node whose attempt failed ("local" for the
-	// server's own pool), so fleet operators can spot a bad box.
+	// server's in-process nodes), so fleet operators can spot a bad box.
 	Worker string `json:"worker,omitempty"`
 	// AtMs is when the failure was recorded (Unix milliseconds; carries
 	// no determinism guarantee).
@@ -349,11 +349,6 @@ type resolvedJob struct {
 	// points-per-child size (execution parameter, not physics).
 	units []*resolvedJob
 	batch int
-
-	// timeout bounds each execution attempt (0 = use the server default).
-	// Deliberately absent from canonical: timeouts shape execution, not
-	// results.
-	timeout time.Duration
 
 	// canonical is canonicalHeader()+body; the content key hashes it.
 	// body is kept separately so composite jobs (batch, campaign) can
@@ -436,9 +431,10 @@ func (s JobSpec) resolve() (*resolvedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The timeout rides along in the echo (so clients see what they set)
-	// but never reaches the canonical descriptor or the content key.
-	r.timeout = time.Duration(s.TimeoutMs) * time.Millisecond
+	// The timeout rides along in the echo (so clients see what they set,
+	// and lease grants carry it to nodes) but never reaches the canonical
+	// descriptor or the content key: timeouts shape execution, not
+	// results.
 	r.spec.TimeoutMs = s.TimeoutMs
 	return r, nil
 }

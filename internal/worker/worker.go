@@ -1,12 +1,12 @@
 // Package worker implements the pull-based worker node of the
 // distributed campaign fabric: a process that registers with a
 // coordinator (internal/service), leases work units over HTTP, executes
-// them with the exact executors the coordinator's own pool uses, and
-// reports results back under the lease's fencing token. Determinism
-// makes the distribution invisible in the data: a unit computes the
-// same bytes on any node, so the coordinator's store (and every
-// campaign aggregate) is byte-identical however the fleet is shaped —
-// one in-process worker, many nodes, nodes dying mid-run.
+// them through the same service.UnitRunner the coordinator's in-process
+// nodes use, and reports results back under the lease's fencing token.
+// Determinism makes the distribution invisible in the data: a unit
+// computes the same bytes on any node, so the coordinator's store (and
+// every campaign aggregate) is byte-identical however the fleet is
+// shaped — one in-process node, many nodes, nodes dying mid-run.
 //
 // The node is deliberately stateless: its only durable interaction is
 // the coordinator's content-addressed store. Losing a node loses at
@@ -18,7 +18,6 @@ package worker
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -51,9 +50,10 @@ type Options struct {
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// BeforeExecute, when non-nil, runs before each leased unit executes
-	// — a test seam for stalling or killing a node mid-unit. Returning
-	// an error fails the unit without executing it.
+	// BeforeExecute, when non-nil, runs before each leased unit executes,
+	// under the unit's timeout and panic guard — a test seam for
+	// stalling, failing or killing a node mid-unit. Returning an error
+	// fails the unit without executing it.
 	BeforeExecute func(ctx context.Context, grant *service.LeaseGrant) error
 	// Metrics, when non-nil, receives the node's operational series:
 	// lifetime unit-outcome counters mirrored from Stats, a heartbeat
@@ -89,8 +89,7 @@ type Stats struct {
 type Worker struct {
 	opts   Options
 	client *service.Client
-	store  *service.RemoteStore
-	cache  *sweep.BuildCache
+	runner service.UnitRunner
 
 	// Metric handles resolved once in New; all are nil-safe, so the
 	// uninstrumented path costs nothing but the nil checks inside obs.
@@ -123,8 +122,11 @@ func New(opts Options) (*Worker, error) {
 	w := &Worker{
 		opts:   opts,
 		client: client,
-		store:  service.NewRemoteStore(opts.Coordinator, opts.HTTPClient),
-		cache:  cache,
+		runner: service.UnitRunner{
+			Cache: cache, MCWorkers: opts.MCWorkers, Metrics: opts.Metrics,
+			Store:  service.NewRemoteStore(opts.Coordinator, opts.HTTPClient),
+			Before: opts.BeforeExecute,
+		},
 	}
 	// Mirror the lifetime outcome counters from Stats at scrape time —
 	// Stats stays the one authoritative copy — and register the handles
@@ -235,12 +237,11 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// executeLease runs one leased unit end to end: the store fast path
-// (a unit whose result already landed — e.g. the other side of a steal
-// race — reports complete without recomputing), then execution with a
-// concurrent heartbeat, then the outcome report. A lease the
-// coordinator invalidates mid-flight cancels execution and reports
-// nothing: the unit belongs to someone else now.
+// executeLease runs one leased unit end to end: the shared UnitRunner
+// (before-hook, store fast path, timeout, execution) with a concurrent
+// heartbeat, then the outcome report. A lease the coordinator
+// invalidates mid-flight cancels execution and reports nothing: the
+// unit belongs to someone else now.
 func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 	// The unit span is the worker-side leg of the job's trace: its ID
 	// derives from the lease ID the coordinator minted, and its trace ID
@@ -261,35 +262,15 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 		w.opts.Spans.End(span, began, outcome)
 		w.unitDur.Observe(time.Since(began).Seconds())
 	}()
-	if hook := w.opts.BeforeExecute; hook != nil {
-		if err := hook(ctx, grant); err != nil {
-			outcome = w.report(ctx, grant, nil, err)
-			return
-		}
-	}
-	if data, ok, err := w.store.Get(grant.Key); err == nil && ok {
-		w.logf("worker %s: %s already stored, fast-completing %s", w.ID(), grant.Key[:8], grant.LeaseID)
-		outcome = w.report(ctx, grant, data, nil)
-		return
-	}
 
 	execCtx, cancel := context.WithCancel(ctx)
-	if t := grant.Spec.TimeoutMs; t > 0 {
-		// The coordinator cannot bound a remote attempt's wall time
-		// directly; the node enforces the spec's timeout itself (the
-		// lease expiring would reclaim the unit anyway, but this fails
-		// fast and reports the real reason).
-		execCtx, cancel = context.WithTimeout(ctx, time.Duration(t)*time.Millisecond)
-	}
 	defer cancel()
-
 	// Progress flows through a mailbox the heartbeat loop drains: every
 	// LeaseMs/3 the node reports liveness (with the latest progress) and
 	// learns whether the lease still owns the job.
 	var pmu sync.Mutex
 	var latest *service.Progress
-	abandoned := make(chan struct{})
-	var abandonOnce sync.Once
+	abandoned := false
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -314,32 +295,22 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 			})
 			w.heartbeats.Inc()
 			if err == nil && !ack.Valid {
-				abandonOnce.Do(func() { close(abandoned) })
+				abandoned = true
 				cancel()
 				return
 			}
 		}
 	}()
 
-	var data []byte
-	var err error
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		data, err = service.ExecuteSpecObserved(execCtx, w.cache, grant.Spec, w.opts.MCWorkers, func(p service.Progress) {
-			pmu.Lock()
-			latest = &p
-			pmu.Unlock()
-		}, w.opts.Metrics)
-	}()
+	u := w.runner.Run(execCtx, grant, func(p service.Progress) {
+		pmu.Lock()
+		latest = &p
+		pmu.Unlock()
+	})
 	cancel()
 	<-hbDone
 
-	select {
-	case <-abandoned:
+	if abandoned {
 		w.mu.Lock()
 		w.stats.Abandoned++
 		w.mu.Unlock()
@@ -347,25 +318,20 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 		w.logf("worker %s: lease %s invalidated, unit abandoned", w.ID(), grant.LeaseID)
 		w.opts.Logger.Warn("unit_abandoned", "worker", w.ID(), "lease", grant.LeaseID, "job", grant.JobID)
 		return
-	default:
 	}
-	if ctx.Err() != nil && err != nil {
+	if ctx.Err() != nil && u.Event == "fail" {
 		// The node itself is shutting down mid-unit; don't report a
 		// failure the coordinator would charge against the job — the
 		// lease will expire and the unit will be re-leased.
 		outcome = "shutdown"
 		return
 	}
-	outcome = w.report(ctx, grant, data, err)
+	outcome = w.report(ctx, grant, u)
 }
 
 // report sends the unit's outcome under its lease and returns the
 // outcome label for the unit's span event.
-func (w *Worker) report(ctx context.Context, grant *service.LeaseGrant, data []byte, err error) string {
-	u := service.LeaseUpdate{Event: "complete", Result: data}
-	if err != nil {
-		u = service.LeaseUpdate{Event: "fail", Error: err.Error()}
-	}
+func (w *Worker) report(ctx context.Context, grant *service.LeaseGrant, u service.LeaseUpdate) string {
 	id := w.ID()
 	ack, uerr := w.client.UpdateLease(ctx, grant.LeaseID, u)
 	w.mu.Lock()
@@ -378,7 +344,7 @@ func (w *Worker) report(ctx context.Context, grant *service.LeaseGrant, data []b
 	case !ack.Valid:
 		w.stats.Abandoned++
 		return "abandoned"
-	case err != nil:
+	case u.Event == "fail":
 		w.stats.Failed++
 		return "fail"
 	default:

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"latticesim/internal/obs"
 	"latticesim/internal/service"
 	"latticesim/internal/sweep"
 )
@@ -55,22 +57,31 @@ func expectedAggregate(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// fleetScenario shapes one campaign run: nodes is the remote node
-// count (0 = the coordinator's own in-process pool executes), kill
-// makes the first node die mid-unit while holding a lease.
+// fleetScenario shapes one campaign run: local is the coordinator's
+// in-process node count, nodes the remote node count, and kill makes
+// the first remote node die mid-unit while holding a lease.
 type fleetScenario struct {
+	name  string
+	local int
 	nodes int
 	kill  bool
 }
 
 // runCampaignScenario runs the test campaign under one fleet shape and
-// returns the aggregate bytes, asserting completion and clean
-// integrity counters along the way.
+// returns the aggregate bytes, asserting completion, clean integrity
+// counters, that only the remote nodes are registered, and lease
+// attribution: every lease the coordinator grants goes to
+// service.WorkerLocal or a registered node, and in-process nodes take
+// leases exactly when the fleet has them. Attribution is read from the
+// lease spans, because a batch's final Worker is whichever attempt won
+// it, and a remote node may steal an in-process node's straggler.
 func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 	t.Helper()
-	opts := service.Options{Workers: -1, MCWorkers: 1, Lease: 250 * time.Millisecond}
-	if sc.nodes == 0 {
-		opts.Workers = 1
+	var spans lockedBuffer
+	opts := service.Options{Workers: -1, MCWorkers: 1, Lease: 250 * time.Millisecond,
+		Spans: obs.NewSpanWriter(&spans)}
+	if sc.local > 0 {
+		opts.Workers = sc.local
 	}
 	srv, err := service.New(opts)
 	if err != nil {
@@ -149,10 +160,39 @@ func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 	if len(cs.Batches) != 4 {
 		t.Fatalf("campaign has %d batches, want 4", len(cs.Batches))
 	}
+	nodes, err := client.Workers(ctx)
+	if err != nil {
+		t.Fatalf("Workers: %v", err)
+	}
+	if len(nodes) != sc.nodes {
+		t.Fatalf("/v1/workers lists %d nodes, want the %d remote ones", len(nodes), sc.nodes)
+	}
+	executors := map[string]bool{service.WorkerLocal: sc.local > 0}
+	for _, n := range nodes {
+		executors[n.ID] = true
+	}
 	for _, b := range cs.Batches {
 		if b.State != service.StateDone {
 			t.Fatalf("batch %s ended %s (%s), want done", b.ID, b.State, b.Error)
 		}
+		if !executors[b.Worker] {
+			t.Fatalf("batch %s attributed to %q, not an executor of this fleet", b.ID, b.Worker)
+		}
+	}
+	localLeases := 0
+	for _, ev := range parseSpans(t, spans.String()) {
+		if ev.Name != "lease" || ev.Phase != "start" {
+			continue
+		}
+		if !executors[ev.Worker] {
+			t.Fatalf("lease %s granted to %q, not an executor of this fleet", ev.Span, ev.Worker)
+		}
+		if ev.Worker == service.WorkerLocal {
+			localLeases++
+		}
+	}
+	if (sc.local > 0) != (localLeases > 0) {
+		t.Fatalf("%d leases granted to %q with %d in-process nodes", localLeases, service.WorkerLocal, sc.local)
 	}
 
 	data, err := client.Result(ctx, st.Key)
@@ -173,26 +213,111 @@ func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 }
 
 // TestCampaignFleetDeterminism is the fabric's core guarantee: the
-// same campaign aggregated by the coordinator's own pool, by a fleet
-// of three remote nodes, and by a fleet that loses a node mid-run
+// same campaign aggregated by the coordinator's in-process node, by a
+// fleet of three remote nodes, by a fleet that loses a node mid-run,
+// and by in-process and remote nodes draining one queue together
 // produces byte-identical results — all equal to what the batch layer
 // (`latticesim sweep -json`) computes directly.
 func TestCampaignFleetDeterminism(t *testing.T) {
 	want := expectedAggregate(t)
-
-	local := runCampaignScenario(t, fleetScenario{nodes: 0})
-	if !bytes.Equal(local, want) {
-		t.Fatalf("in-process campaign differs from direct sweep:\ngot:  %q\nwant: %q", local, want)
+	for _, sc := range []fleetScenario{
+		{name: "in-process node", local: 1},
+		{name: "3 remote nodes", nodes: 3},
+		{name: "3 remote nodes, one killed", nodes: 3, kill: true},
+		{name: "1 in-process + 2 remote nodes", local: 1, nodes: 2},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			if got := runCampaignScenario(t, sc); !bytes.Equal(got, want) {
+				t.Fatalf("campaign differs from direct sweep:\ngot:  %q\nwant: %q", got, want)
+			}
+		})
 	}
+}
 
-	fleet := runCampaignScenario(t, fleetScenario{nodes: 3})
-	if !bytes.Equal(fleet, want) {
-		t.Fatalf("3-node campaign differs from direct sweep:\ngot:  %q\nwant: %q", fleet, want)
+// TestRemoteFailureSemantics pins a remote node's failure reports to
+// the in-process nodes' semantics: a unit past its timeout — the spec's
+// timeout_ms or, absent one, the coordinator's JobTimeout carried in
+// the grant — fails its job with stop reason "timeout" after exactly
+// one attempt, and a panicking BeforeExecute is recovered into a
+// "panic" failure that is retried while the node lives on.
+func TestRemoteFailureSemantics(t *testing.T) {
+	wedge := func(ctx context.Context, _ *service.LeaseGrant) error {
+		<-ctx.Done()
+		return ctx.Err()
 	}
+	panicFirst := func(_ context.Context, g *service.LeaseGrant) error {
+		if g.Attempt == 1 {
+			panic("injected hook bug")
+		}
+		return nil
+	}
+	spec := func(timeoutMs int64) service.JobSpec {
+		return service.JobSpec{Type: "sweep", TimeoutMs: timeoutMs, Sweep: &service.SweepJob{
+			Policy: "Passive", TauNs: 800, Shots: 64, Seed: 3,
+		}}
+	}
+	timedOutOnce := func(t *testing.T, st service.JobStatus) {
+		if st.State != service.StateFailed || st.StopReason != service.StopReasonTimeout || st.Attempt != 1 {
+			t.Fatalf("job = %s/%s after %d attempts, want failed/timeout after 1", st.State, st.StopReason, st.Attempt)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		jobTimeout time.Duration
+		spec       service.JobSpec
+		hook       func(context.Context, *service.LeaseGrant) error
+		check      func(t *testing.T, st service.JobStatus)
+	}{
+		{"spec timeout_ms", 0, spec(50), wedge, timedOutOnce},
+		{"coordinator JobTimeout", 50 * time.Millisecond, spec(0), wedge, timedOutOnce},
+		{"panicking hook", 0, spec(0), panicFirst, func(t *testing.T, st service.JobStatus) {
+			if st.State != service.StateDone || st.Attempt != 2 {
+				t.Fatalf("job = %s after %d attempts, want done on the retry", st.State, st.Attempt)
+			}
+			if len(st.Failures) != 1 || st.Failures[0].Reason != "panic" ||
+				!strings.Contains(st.Failures[0].Error, "injected hook bug") {
+				t.Fatalf("failures = %+v, want one recorded panic", st.Failures)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := service.New(service.Options{Workers: -1, MCWorkers: 1, JobTimeout: tc.jobTimeout})
+			if err != nil {
+				t.Fatalf("service.New: %v", err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			defer func() {
+				hs.Close()
+				srv.Close()
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			w, err := New(Options{
+				Coordinator: hs.URL, MCWorkers: 1, Poll: 10 * time.Millisecond,
+				BeforeExecute: tc.hook,
+			})
+			if err != nil {
+				t.Fatalf("worker.New: %v", err)
+			}
+			wctx, wcancel := context.WithCancel(ctx)
+			done := make(chan error, 1)
+			go func() { done <- w.Run(wctx) }()
 
-	chaos := runCampaignScenario(t, fleetScenario{nodes: 3, kill: true})
-	if !bytes.Equal(chaos, want) {
-		t.Fatalf("3-node campaign with a killed node differs from direct sweep:\ngot:  %q\nwant: %q", chaos, want)
+			client := service.NewClient(hs.URL)
+			st, err := client.Submit(ctx, tc.spec)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if st, err = client.Watch(ctx, st.ID, nil); err != nil {
+				t.Fatalf("Watch: %v", err)
+			}
+			tc.check(t, st)
+			// The node survived: it is still pulling work when told to stop.
+			wcancel()
+			if err := <-done; err != context.Canceled {
+				t.Fatalf("node Run ended with %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 
