@@ -59,7 +59,7 @@ Flags:`)
 		env     = exp.OptionsFromEnv()
 		shots   = fs.Int("shots", 0, "Monte Carlo shots per merge pair (0 = 4096; LATTICESIM_SHOTS sets the default)")
 		seed    = fs.Uint64("seed", env.Seed, "campaign seed; merge-event seeds derive from it (0 = default)")
-		workers = fs.Int("workers", env.Workers, "Monte Carlo worker pool size (0 = GOMAXPROCS; results are worker-count independent)")
+		workers = fs.Int("workers", env.Workers, "CPUs the simulation uses: merge seams run concurrently, and each seam's shard pool gets the share the seam pool cannot use (0 = GOMAXPROCS; results are worker-count independent)")
 		dump    = fs.Bool("dump", false, "print the trace text before simulating (to save a generated workload)")
 		jsonOut = fs.Bool("json", false, "stream one ResultSet JSON line per (d, p) cell to stdout (the service result schema)")
 		verbose = fs.Bool("v", false, "print per-patch breakdowns")

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -27,8 +28,10 @@ type Artifact struct {
 // DEM extraction and decoder-graph construction.
 //
 // A cache may be shared across campaigns (the exp presets do exactly
-// that). It is safe for concurrent use, though the campaign runner itself
-// executes points sequentially and parallelizes within each point.
+// that) and is safe for concurrent use: the campaign runner executes
+// points sequentially, but trace simulations run their seams
+// concurrently and the service's nodes share one cache. Get is
+// single-flight per key, so concurrent misses on one spec build it once.
 //
 // The cache is unbounded: it holds one artifact set per distinct spec for
 // its lifetime, trading memory for reuse. Artifacts are a few MB each at
@@ -38,14 +41,25 @@ type Artifact struct {
 // matters more than cross-campaign dedup.
 type BuildCache struct {
 	mu     sync.Mutex
-	arts   map[string]*Artifact
+	arts   map[string]*entry
 	hits   int
 	misses int
 }
 
+// entry is one spec's slot in a BuildCache. The caller that creates it
+// builds the artifacts; done closes when that build ends. art is
+// written under BuildCache.mu, so a nil art under the lock means the
+// build is still in flight. A failed build leaves the map before done
+// closes, with its error in err for the callers that waited on it.
+type entry struct {
+	done chan struct{}
+	art  *Artifact
+	err  error
+}
+
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{arts: make(map[string]*Artifact)}
+	return &BuildCache{arts: make(map[string]*entry)}
 }
 
 // SpecKey returns the canonical identity of a merge spec's build
@@ -89,37 +103,66 @@ func SpecKey(s surface.MergeSpec) string {
 
 // Get returns the artifacts for the spec, building them on first use.
 // The boolean reports whether the artifacts were served from the cache.
+// A caller that finds the spec's build in progress waits for it and
+// shares its outcome: the artifact, counted as a hit, or the error. A
+// failed build is not cached, so a later Get retries it.
 func (c *BuildCache) Get(spec surface.MergeSpec) (*Artifact, bool, error) {
 	key := SpecKey(spec)
 	c.mu.Lock()
-	if art, ok := c.arts[key]; ok {
-		c.hits++
+	e, ok := c.arts[key]
+	switch {
+	case !ok:
+		e = &entry{done: make(chan struct{})}
+		c.arts[key] = e
 		c.mu.Unlock()
-		return art, true, nil
+		return c.build(key, e, spec)
+	case e.art == nil:
+		c.mu.Unlock()
+		<-e.done
+		if e.err != nil {
+			return nil, false, e.err
+		}
+		c.mu.Lock()
 	}
+	c.hits++
 	c.mu.Unlock()
+	return e.art, true, nil
+}
 
+// build constructs the artifacts for an entry this caller just put in
+// the map. The release is deferred so that waiters are freed even when
+// the build panics; they then get an error, and the panic goes on up
+// this caller's stack.
+func (c *BuildCache) build(key string, e *entry, spec surface.MergeSpec) (*Artifact, bool, error) {
+	// err holds the outcome waiters see if newArtifact never returns.
+	var art *Artifact
+	err := fmt.Errorf("sweep: build of %s panicked", key)
+	defer func() {
+		c.mu.Lock()
+		if err == nil {
+			e.art = art
+			c.misses++
+		} else {
+			e.err = err
+			delete(c.arts, key)
+		}
+		c.mu.Unlock()
+		close(e.done)
+	}()
+	art, err = newArtifact(spec)
+	return art, false, err
+}
+
+func newArtifact(spec surface.MergeSpec) (*Artifact, error) {
 	res, err := spec.Build()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	art := &Artifact{Build: res, Pipeline: pl}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prior, ok := c.arts[key]; ok {
-		// A concurrent builder won the race; keep the first artifact so
-		// every caller shares one pipeline.
-		c.hits++
-		return prior, true, nil
-	}
-	c.misses++
-	c.arts[key] = art
-	return art, false, nil
+	return &Artifact{Build: res, Pipeline: pl}, nil
 }
 
 // Stats reports the cache-hit counters: hits is the number of Get calls
@@ -130,9 +173,16 @@ func (c *BuildCache) Stats() (hits, misses int) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of distinct artifacts held.
+// Len returns the number of distinct artifacts held; builds still in
+// flight are not counted.
 func (c *BuildCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.arts)
+	n := 0
+	for _, e := range c.arts {
+		if e.art != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -144,6 +144,64 @@ func TestCacheBuildsEachArtifactOnce(t *testing.T) {
 	}
 }
 
+// concurrentGets has n goroutines Get one spec behind a start barrier,
+// so their lookups race, and returns what each caller got.
+func concurrentGets(cache *BuildCache, spec surface.MergeSpec, n int) ([]*Artifact, []error) {
+	arts, errs := make([]*Artifact, n), make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			arts[i], _, errs[i] = cache.Get(spec)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return arts, errs
+}
+
+// TestCacheGetSingleFlight: concurrent misses on one spec build it once,
+// and every caller shares the one artifact — misses counts artifact
+// constructions, so the callers that waited count as hits.
+func TestCacheGetSingleFlight(t *testing.T) {
+	cache := NewBuildCache()
+	spec := surface.MergeSpec{D: 3, Basis: surface.BasisX, HW: hardware.Google(), P: 1e-3}
+	dem0 := dem.BuildCount()
+	arts, errs := concurrentGets(cache, spec, 8)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if arts[i] != arts[0] {
+			t.Fatalf("caller %d got a different *Artifact than caller 0", i)
+		}
+	}
+	if built := dem.BuildCount() - dem0; built != 1 {
+		t.Fatalf("8 concurrent Gets extracted %d DEMs, want 1", built)
+	}
+	if hits, misses := cache.Stats(); hits != 7 || misses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 7/1", hits, misses)
+	}
+
+	// A failed build reaches every caller and is not cached.
+	bad := spec
+	bad.D = 4
+	if _, errs = concurrentGets(cache, bad, 8); errs[0] == nil {
+		t.Fatal("an even-distance spec built")
+	}
+	for i, err := range errs {
+		if err == nil || err.Error() != errs[0].Error() {
+			t.Fatalf("caller %d: error %v, want %v", i, err, errs[0])
+		}
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d artifacts after a failed build, want 1", n)
+	}
+}
+
 // TestCacheHitRecordsMatchCacheMiss: the record of a point served from
 // the cache must equal the record the point would produce with a cold
 // cache (the artifacts carry no per-point state).

@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
@@ -33,16 +35,19 @@ type Config struct {
 	// Seed is the campaign seed; each merge event derives its own RNG
 	// stream from it (0 = 0xC0FFEE).
 	Seed uint64
-	// Workers is the Monte Carlo worker-pool size inside each merge
-	// simulation (0 = all CPUs). Results are bit-identical for any value:
-	// the event loop is sequential and the shot executor is worker-count
-	// independent (DESIGN.md §5).
+	// Workers is the number of CPUs a simulation uses (0 = all CPUs):
+	// seams run concurrently, and a seam's shard pool gets the share the
+	// seam pool cannot use. Results are bit-identical for any value: the
+	// event loop plans every seam before any runs, seam seeds are keyed
+	// on the event, and the shot executor is worker-count independent
+	// (DESIGN.md §5, §10).
 	Workers int
 	// Progress, when set, observes merge-event completion: it is called
-	// after each executed MERGE operation with the cumulative count and
-	// the program's total merge count. Purely observational (results are
-	// identical with or without it); the event loop is sequential, so
-	// calls arrive in order from one goroutine. The simulation service
+	// once per MERGE operation, in program order, with the cumulative
+	// count and the program's total merge count. A merge counts as done
+	// when its seams and every earlier merge's seams have finished.
+	// Purely observational (results are identical with or without it);
+	// calls come from Simulate's own goroutine. The simulation service
 	// uses it to stream per-job progress events.
 	Progress func(doneMerges, totalMerges int)
 	// StaggerNs is the initial phase offset between consecutively
@@ -58,12 +63,13 @@ type Config struct {
 	// across policies. Optional; a private cache is used when nil. Pass a
 	// shared cache when simulating several policies over one trace.
 	Cache *sweep.BuildCache
-	// Ctx, when non-nil, cancels the simulation: the event loop checks it
-	// at merge boundaries and the seam Monte Carlo runs observe it at
+	// Ctx, when non-nil, cancels the simulation: it is checked before
+	// each seam is handed out and the seam Monte Carlo runs observe it at
 	// shard boundaries, so Simulate returns ctx's error promptly with no
-	// partial Result. As everywhere in the repo, cancellation can only
-	// lose a result, never change one. The simulation service threads
-	// per-job contexts through here (DESIGN.md §14).
+	// partial Result, once every goroutine it started has exited. As
+	// everywhere in the repo, cancellation can only lose a result, never
+	// change one. The simulation service threads per-job contexts through
+	// here (DESIGN.md §14).
 	Ctx context.Context
 }
 
@@ -187,9 +193,13 @@ type Result struct {
 	PerMerge []MergeStats `json:"per_merge"`
 }
 
-// Simulate runs the program under one synchronization policy. See the
-// package comment for the event model and DESIGN.md §10 for its
-// approximations.
+// Simulate runs the program under one synchronization policy in three
+// steps. Plan runs the whole event loop (registration, IDLE, PlanSync,
+// timing and charges), which never reads a Monte Carlo result, and
+// emits one seam per merge pair. Execute runs the seams on a pool of
+// goroutines. Compose folds the seam rates into each merge's FailProb
+// and the program LER in event and pair order. See the package comment
+// for the event model and DESIGN.md §10 for its approximations.
 func Simulate(prog *Program, policy core.Policy, cfg Config) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -198,7 +208,45 @@ func Simulate(prog *Program, policy core.Policy, cfg Config) (*Result, error) {
 	if prog.Merges() == 0 {
 		return nil, fmt.Errorf("trace: program has no MERGE operations")
 	}
+	res, seams, err := plan(prog, policy, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rates, err := runSeams(prog, seams, cfg)
+	if err != nil {
+		return nil, err
+	}
 
+	survival := make([]float64, len(res.PerMerge))
+	for m := range survival {
+		survival[m] = 1
+	}
+	for i, s := range seams {
+		survival[s.merge] *= 1 - rates[i]
+	}
+	program := 1.0
+	for m, sv := range survival {
+		res.PerMerge[m].FailProb = 1 - sv
+		program *= sv
+	}
+	res.ProgramLER = 1 - program
+	return res, nil
+}
+
+// seam is one pairwise seam of a planned merge: the Monte Carlo run
+// that estimates the pair's joint logical error rate.
+type seam struct {
+	merge       int // index into Result.PerMerge
+	op          int // index into Program.Ops
+	early, late int // patch indices
+	spec        surface.MergeSpec
+	seed        uint64
+}
+
+// plan runs the event loop: it fills every field of the Result except
+// the failure probabilities and returns the seams in event and pair
+// order.
+func plan(prog *Program, policy core.Policy, cfg Config) (*Result, []seam, error) {
 	base := cfg.HW.CycleNs()
 	res := &Result{Policy: policy, Patches: len(prog.Patches)}
 	cycles := make([]float64, len(prog.Patches))
@@ -222,25 +270,19 @@ func Simulate(prog *Program, policy core.Policy, cfg Config) (*Result, error) {
 	for i := range prog.Patches {
 		id, err := eng.Register(int64(cycles[i] + 0.5))
 		if err != nil {
-			return nil, fmt.Errorf("trace: patch %q: %w (scale the hardware profile down, e.g. latticesim trace -scale 1000)", prog.Patches[i].Name, err)
+			return nil, nil, fmt.Errorf("trace: patch %q: %w (scale the hardware profile down, e.g. latticesim trace -scale 1000)", prog.Patches[i].Name, err)
 		}
 		if id != i {
-			return nil, fmt.Errorf("trace: engine assigned id %d to patch %d", id, i)
+			return nil, nil, fmt.Errorf("trace: engine assigned id %d to patch %d", id, i)
 		}
 		if i < len(prog.Patches)-1 {
 			eng.Tick(cfg.stagger())
 		}
 	}
 
-	cache := cfg.Cache
-	if cache == nil {
-		cache = sweep.NewBuildCache()
-	}
-
 	clockNs := float64(len(prog.Patches)-1) * float64(cfg.stagger())
 	pending := make([]int, len(prog.Patches)) // accumulated IDLE rounds per patch
-	survival := 1.0
-	totalMerges := prog.Merges()
+	var seams []seam
 	for opIdx, op := range prog.Ops {
 		switch op.Kind {
 		case OpIdle:
@@ -253,17 +295,13 @@ func Simulate(prog *Program, policy core.Policy, cfg Config) (*Result, error) {
 			clockNs += advance
 
 		case OpMerge:
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return nil, cfg.Ctx.Err()
-			}
-			ms, pairSurvival, err := runMerge(eng, cache, prog, op, opIdx, cycles, pending, cfg, policy, res)
+			ms, err := planMerge(eng, op, opIdx, cycles, pending, cfg, policy, res, &seams)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			res.MergeOps++
 			res.FallbackPairs += ms.FallbackPairs
 			res.SkewWaitNs += ms.SkewNs
-			survival *= pairSurvival
 
 			// Advance through synchronization plus the merged rounds at
 			// the slowest participant's cycle.
@@ -281,35 +319,30 @@ func Simulate(prog *Program, policy core.Policy, cfg Config) (*Result, error) {
 			eng.Tick(int64(advance + 0.5))
 			clockNs += advance
 			res.PerMerge = append(res.PerMerge, ms)
-			if cfg.Progress != nil {
-				cfg.Progress(res.MergeOps, totalMerges)
-			}
 		}
 	}
 	res.IdleOps = len(prog.Ops) - res.MergeOps
 	res.RuntimeNs = clockNs
-	res.ProgramLER = 1 - survival
-	return res, nil
+	return res, seams, nil
 }
 
-// runMerge resolves one merge event: plan the synchronization from the
-// engine's live phase state, charge each patch's directives, and estimate
-// the merge's failure probability by running every pairwise seam through
-// the compiled Monte Carlo pipeline.
-func runMerge(eng *microarch.Engine, cache *sweep.BuildCache, prog *Program,
-	op Op, opIdx int, cycles []float64, pending []int,
-	cfg Config, policy core.Policy, res *Result) (MergeStats, float64, error) {
+// planMerge resolves one merge event: plan the synchronization from the
+// engine's live phase state, charge each patch's directives, and append
+// one seam per pair, carrying the Monte Carlo spec for the pair's plan
+// and the seed derived from its event key.
+func planMerge(eng *microarch.Engine, op Op, opIdx int, cycles []float64, pending []int,
+	cfg Config, policy core.Policy, res *Result, seams *[]seam) (MergeStats, error) {
 	ms := MergeStats{Op: opIdx}
 
 	sched, err := eng.PlanSync(op.Patches, policy, cfg.EpsNs, cfg.MaxZ)
 	if err != nil {
-		return ms, 0, err
+		return ms, err
 	}
 	remaining := make(map[int]float64, len(op.Patches))
 	for _, p := range op.Patches {
 		st, err := eng.State(p)
 		if err != nil {
-			return ms, 0, err
+			return ms, err
 		}
 		remaining[p] = float64(st.RemainingNs())
 	}
@@ -352,7 +385,6 @@ func runMerge(eng *microarch.Engine, cache *sweep.BuildCache, prog *Program,
 	// patch, which physically runs the largest per-pair round demand, not
 	// their sum; early patches each own their pair's directives.
 	lateRounds, lateIdle := 0, 0.0
-	survival := 1.0
 	for i, pp := range sched.Pairs {
 		if pp.Plan.Policy != policy {
 			ms.FallbackPairs++
@@ -371,33 +403,134 @@ func runMerge(eng *microarch.Engine, cache *sweep.BuildCache, prog *Program,
 
 		spec := sweep.SpecForPair(cfg.D, cfg.Basis, cfg.HW, cfg.P, pp,
 			cycles[pp.Early], cycles[pp.Late], pending[pp.Early], pending[pp.Late])
-		art, _, err := cache.Get(spec)
-		if err != nil {
-			return ms, 0, fmt.Errorf("trace: op %d pair %s–%s: %w", opIdx,
-				prog.Patches[pp.Early].Name, prog.Patches[pp.Late].Name, err)
-		}
-		seed := sweep.DeriveSeed(cfg.Seed,
-			fmt.Sprintf("trace merge=%d pair=%d %s", opIdx, i, sweep.SpecKey(spec)))
-		// Run on a shallow copy so the shared cached pipeline is never
-		// mutated (the same discipline as the sweep executor).
-		pl := *art.Pipeline
-		pl.Workers = cfg.Workers
-		pl.Ctx = cfg.Ctx
-		out := pl.Run(cfg.Shots, seed)
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			// A canceled run's tally is partial; drop it.
-			return ms, 0, cfg.Ctx.Err()
-		}
-		survival *= 1 - out.Rate(surface.ObsJoint)
+		*seams = append(*seams, seam{
+			merge: len(res.PerMerge), op: opIdx, early: pp.Early, late: pp.Late, spec: spec,
+			seed: sweep.DeriveSeed(cfg.Seed,
+				fmt.Sprintf("trace merge=%d pair=%d %s", opIdx, i, sweep.SpecKey(spec))),
+		})
 	}
 	ref := sched.Reference
 	res.ExtraRounds += lateRounds
 	res.SyncIdleNs += lateIdle
 	res.PerPatch[ref].ExtraRounds += lateRounds
 	res.PerPatch[ref].SyncIdleNs += lateIdle
+	return ms, nil
+}
 
-	ms.FailProb = 1 - survival
-	return ms, survival, nil
+// runSeams runs every seam's Monte Carlo and returns the joint logical
+// error rates in seam order. The pool and the per-seam shard pools
+// split the resolved Workers budget between them: pool = min(W, seams)
+// seams run at once, each with W/pool shard workers, so no more than W
+// goroutines sample at a time and a one-seam program keeps the full
+// shard pool. Seams are handed out in event order from this goroutine,
+// which also calls cfg.Progress, once per merge in order, when the
+// merge's seams and every earlier merge's seams have finished. After a
+// failure or cancellation no further seam is handed out; runSeams
+// returns once every goroutine it started has exited. A seam's panic is
+// raised again on this goroutine, where the caller can recover it.
+func runSeams(prog *Program, seams []seam, cfg Config) ([]float64, error) {
+	w := cfg.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	pool := max(1, min(w, len(seams)))
+	cache := cfg.Cache
+	if cache == nil {
+		cache = sweep.NewBuildCache()
+	}
+	canceled := func() bool { return cfg.Ctx != nil && cfg.Ctx.Err() != nil }
+
+	rates := make([]float64, len(seams))
+	errs := make([]error, len(seams))
+	panics := make([]any, len(seams))
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		s := seams[i]
+		if canceled() {
+			errs[i] = cfg.Ctx.Err()
+			return
+		}
+		art, _, err := cache.Get(s.spec)
+		if err != nil {
+			errs[i] = fmt.Errorf("trace: op %d pair %s–%s: %w", s.op,
+				prog.Patches[s.early].Name, prog.Patches[s.late].Name, err)
+			return
+		}
+		// Run on a shallow copy so the shared cached pipeline is never
+		// mutated (the same discipline as the sweep executor).
+		pl := *art.Pipeline
+		pl.Workers = w / pool
+		pl.Ctx = cfg.Ctx
+		out := pl.Run(cfg.Shots, s.seed)
+		if canceled() {
+			// A canceled run's tally may be partial; drop it.
+			errs[i] = cfg.Ctx.Err()
+			return
+		}
+		rates[i] = out.Rate(surface.ObsJoint)
+	}
+
+	todo, done := make(chan int), make(chan int)
+	var wg sync.WaitGroup
+	for range pool {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range todo {
+				run(i)
+				done <- i
+			}
+		}()
+	}
+	left := make([]int, prog.Merges()) // unfinished seams per merge
+	for _, s := range seams {
+		left[s.merge]++
+	}
+	next, running, reported, failed := 0, 0, 0, false
+	for {
+		var offer chan<- int
+		if next < len(seams) && !failed && !canceled() {
+			offer = todo
+		}
+		if offer == nil && running == 0 {
+			break
+		}
+		select {
+		case offer <- next:
+			next++
+			running++
+		case i := <-done:
+			running--
+			if errs[i] != nil || panics[i] != nil {
+				failed = true
+				continue
+			}
+			left[seams[i].merge]--
+			for reported < len(left) && left[reported] == 0 {
+				reported++
+				if cfg.Progress != nil {
+					cfg.Progress(reported, len(left))
+				}
+			}
+		}
+	}
+	close(todo)
+	wg.Wait()
+
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	if canceled() {
+		return nil, cfg.Ctx.Err()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rates, nil
 }
 
 // SimulateAll runs the program under each policy with one shared build

@@ -1,11 +1,17 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/sweep"
 )
 
@@ -60,27 +66,125 @@ func TestSimulateAllPoliciesOnFactoryTrace(t *testing.T) {
 }
 
 // TestSimulateWorkerIndependence is the event-order determinism contract:
-// the entire Result — timings, charges, and every Monte Carlo LER — must
-// be bit-identical for any worker-pool size.
+// the entire Result — timings, charges, and every Monte Carlo LER — and
+// the build cache's hit/miss counts must be identical for any worker
+// budget. At 512 shots every seam is one shard, so the factory program
+// exercises the seam pool; the one-seam program's budget of three full
+// shards plus a partial one runs on that seam's own shard pool.
 func TestSimulateWorkerIndependence(t *testing.T) {
-	prog := Factory(7, 1, 1000)
-	for _, pol := range []core.Policy{core.Passive, core.Hybrid} {
-		var baseline *Result
-		for _, workers := range []int{1, 3, 8} {
+	oneSeam, err := ParseString("PATCH A 1000\nPATCH B 1105\nMERGE A B\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  *Program
+		shots int
+	}{
+		{"factory", Factory(7, 1, 1000), 512},
+		{"one seam", oneSeam, 3*mc.ShardShots + 100},
+	} {
+		var baseline []*Result
+		var baseHits, baseMisses int
+		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := testConfig()
+			cfg.Shots = tc.shots
 			cfg.Workers = workers
-			r, err := Simulate(prog, pol, cfg)
+			cfg.Cache = sweep.NewBuildCache()
+			results, err := SimulateAll(tc.prog, allPolicies, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			hits, misses := cfg.Cache.Stats()
 			if baseline == nil {
-				baseline = r
+				baseline, baseHits, baseMisses = results, hits, misses
 				continue
 			}
-			if !reflect.DeepEqual(baseline, r) {
-				t.Fatalf("%s: result differs between workers=1 and workers=%d:\n%+v\n%+v",
-					pol, workers, baseline, r)
+			for i, r := range results {
+				if !reflect.DeepEqual(baseline[i], r) {
+					t.Fatalf("%s %s: result differs between workers=1 and workers=%d:\n%+v\n%+v",
+						tc.name, r.Policy, workers, baseline[i], r)
+				}
 			}
+			if hits != baseHits || misses != baseMisses {
+				t.Fatalf("%s: cache %d hits / %d misses at workers=%d, %d / %d at workers=1",
+					tc.name, hits, misses, workers, baseHits, baseMisses)
+			}
+		}
+	}
+}
+
+// TestSimulateProgressInOrder: with seams running concurrently, Progress
+// still comes from Simulate's goroutine (calls append to an unguarded
+// slice, so -race sees any other caller), once per merge, in order.
+func TestSimulateProgressInOrder(t *testing.T) {
+	prog := Factory(7, 1, 1000)
+	cfg := testConfig()
+	cfg.Workers = 4
+	var calls [][2]int
+	cfg.Progress = func(done, total int) { calls = append(calls, [2]int{done, total}) }
+	if _, err := Simulate(prog, core.Passive, cfg); err != nil {
+		t.Fatal(err)
+	}
+	total := prog.Merges()
+	if len(calls) != total {
+		t.Fatalf("Progress called %d times, want %d: %v", len(calls), total, calls)
+	}
+	for i, c := range calls {
+		if c != [2]int{i + 1, total} {
+			t.Fatalf("call %d was Progress(%d, %d), want (%d, %d)", i, c[0], c[1], i+1, total)
+		}
+	}
+}
+
+// TestSimulateCancelMidProgram: a context canceled while seams are in
+// flight makes Simulate return the context's error and no Result, and
+// only after every goroutine it started has exited.
+func TestSimulateCancelMidProgram(t *testing.T) {
+	prog := Factory(7, 1, 1000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := testConfig()
+	cfg.Workers = 4
+	cfg.Ctx = ctx
+	cfg.Progress = func(done, _ int) {
+		if done == 2 {
+			cancel()
+		}
+	}
+	before := runtime.NumGoroutine()
+	r, err := Simulate(prog, core.Passive, cfg)
+	if !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("Simulate after cancel = %v, %v; want nil, context.Canceled", r, err)
+	}
+	// A goroutine that has returned from its function can still be
+	// counted for an instant while it exits; allow it that instant.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived Simulate", runtime.NumGoroutine()-before)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSimulateSeamErrorIsDeterministic: a seam whose build fails
+// surfaces as the first failing seam in event order, the same for any
+// worker budget.
+func TestSimulateSeamErrorIsDeterministic(t *testing.T) {
+	prog := Factory(7, 1, 1000)
+	var first error
+	for _, workers := range []int{1, 8} {
+		cfg := testConfig()
+		cfg.D = 4 // no surface code: every seam's build fails
+		cfg.Workers = workers
+		_, err := Simulate(prog, core.Passive, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: op 1 pair ") {
+			t.Fatalf("workers=%d: error %v, want the first merge's (op 1) seam error", workers, err)
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("workers=%d: error %q, workers=1: %q", workers, err, first)
 		}
 	}
 }
