@@ -14,7 +14,7 @@ BENCH ?= FrameSampling|Extraction|LUTDecode|UnionFindDecodeSteady|PredecodedDeco
 BENCHTIME ?= 2s
 COUNT ?= 1
 BENCH_OUT ?= bench.txt
-BENCH_JSON ?= BENCH_pr7.json
+BENCH_JSON ?= bench.json
 
 .PHONY: build test race cover fuzz serve bench bench-json bench-compare diff diff-long chaos chaos-long obs-smoke
 
@@ -65,7 +65,9 @@ bench:
 
 # bench-json converts the raw output into the machine-readable perf
 # record (ns/op, allocs/op, shots/s per benchmark), with the committed
-# baseline embedded for before/after comparison.
+# baseline embedded for before/after comparison. By default it writes
+# bench.json, which is not committed; record a new baseline epoch with
+# an explicit BENCH_JSON=BENCH_prN.json (README "Contributing").
 bench-json: bench
 	$(GO) run ./cmd/benchjson -in $(BENCH_OUT) -baseline bench_baseline_pr7.txt -out $(BENCH_JSON)
 

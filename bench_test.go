@@ -120,29 +120,9 @@ func BenchmarkFrameSamplingCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameSamplingWide measures the wide-word sampler — groups of
-// frame.WideWords 64-shot batches per pass over the compiled plan — on
-// the same circuits as BenchmarkFrameSamplingCompiled; the ratio is the
-// win from amortizing plan walking across lanes.
-func BenchmarkFrameSamplingWide(b *testing.B) {
-	group := []int{64, 64, 64, 64}[:frame.WideWords]
-	for _, d := range []int{3, 5, 7} {
-		res := buildMerge(b, d)
-		s := frame.Compile(res.Circuit).NewWideSampler()
-		rng := stats.NewRand(1)
-		b.Run(sizeName(d), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.SampleGroup(rng, group)
-			}
-			b.ReportMetric(float64(64*len(group))*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
-		})
-	}
-}
-
 // BenchmarkBatchExtraction measures grouped sparse extraction — the
-// Extract call producing the flat SparseBatch the decoder layer consumes
-// whole — on the same low-error d=7 batch as BenchmarkExtraction.
+// Extract call producing a flat SparseBatch — on the same low-error d=7
+// batch as BenchmarkExtraction.
 func BenchmarkBatchExtraction(b *testing.B) {
 	res, err := surface.MemorySpec{D: 7, Basis: surface.BasisZ, HW: hardware.IBM(), P: 1e-4}.Build()
 	if err != nil {

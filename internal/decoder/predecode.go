@@ -162,9 +162,9 @@ func (d *UnionFind) decodeTouch(defects []int, closure []int32) (uint64, []int32
 }
 
 // Predecoded is a per-worker decoder: the shared Predecoder tables, a
-// private union-find fall-through, and private scratch. It implements
-// both Decoder and BatchDecoder and produces exactly the fall-through
-// decoder's output for every defect set. Not safe for concurrent use.
+// private union-find fall-through, and private scratch. It produces
+// exactly the fall-through decoder's output for every defect set. Not
+// safe for concurrent use.
 type Predecoded struct {
 	t  *Predecoder
 	uf *UnionFind
@@ -302,13 +302,4 @@ func (d *Predecoded) Decode(defects []int) uint64 {
 	}
 	d.hits++
 	return pred
-}
-
-// DecodeBatch decodes the grouped syndromes shot by shot. The
-// generation-stamped scratch makes consecutive shots free of clearing
-// work, which is where batching the predecoder pays.
-func (d *Predecoded) DecodeBatch(sb *SyndromeBatch, preds []uint64) {
-	for i := range preds {
-		preds[i] = d.Decode(sb.Shot(i))
-	}
 }

@@ -81,37 +81,6 @@ func shrinkMismatch(t *testing.T, pre *Predecoder, g *Graph, defects []int) []in
 	}
 }
 
-// TestPredecodedBatchMatchesPerShot checks DecodeBatch against per-shot
-// Decode calls over a random grouped syndrome batch, including empty
-// shots.
-func TestPredecodedBatchMatchesPerShot(t *testing.T) {
-	g := BuildGraph(buildModel(t, 3, surface.BasisZ, 1e-3))
-	pre := NewPredecoder(g)
-	rng := rand.New(rand.NewPCG(3, 0xBA7C4))
-	var sb SyndromeBatch
-	sb.Reset()
-	const shots = 64
-	for i := 0; i < shots; i++ {
-		var defects []int
-		if rng.IntN(4) > 0 { // leave ~1/4 of shots empty
-			for v := 0; v < g.NumDetectors; v++ {
-				if rng.Float64() < 0.02 {
-					defects = append(defects, v)
-				}
-			}
-		}
-		sb.Append(defects)
-	}
-	batch := make([]uint64, shots)
-	pre.NewDecoder(NewUnionFind(g)).DecodeBatch(&sb, batch)
-	single := pre.NewDecoder(NewUnionFind(g))
-	for i := 0; i < shots; i++ {
-		if want := single.Decode(sb.Shot(i)); batch[i] != want {
-			t.Fatalf("shot %d: DecodeBatch %#x != per-shot Decode %#x", i, batch[i], want)
-		}
-	}
-}
-
 // TestPredecoderSoloAndPairMemosMatch checks the memo tables directly:
 // every singleton and every adjacent pair must decode through the
 // predecoder to the exact union-find answer (these all take the

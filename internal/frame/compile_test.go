@@ -1,7 +1,7 @@
 package frame
 
-// The sampler equivalence properties (interpreted vs compiled vs wide)
-// now live in the shared differential harness — see
+// The sampler equivalence properties (interpreted vs compiled) now
+// live in the shared differential harness — see
 // internal/testutil/diffharness and diff_test.go in this package's
 // external test suite. This file keeps the plan-structure and scratch
 // tests that need package-internal visibility.

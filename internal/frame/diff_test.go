@@ -20,8 +20,8 @@ import (
 	"latticesim/internal/testutil/diffharness"
 )
 
-// TestSamplerPathsMatchOnSurface pins the interpreted/compiled/wide
-// sampler equivalence on a real lattice-surgery circuit, the workload the
+// TestSamplerPathsMatchOnSurface pins the interpreted/compiled sampler
+// equivalence on a real lattice-surgery circuit, the workload the
 // Monte Carlo layer runs.
 func TestSamplerPathsMatchOnSurface(t *testing.T) {
 	res, err := surface.MergeSpec{D: 3, Basis: surface.BasisX, HW: hardware.IBM(), P: 1e-3}.Build()

@@ -62,9 +62,7 @@ func (e *Extractor) ForEachShot(b Batch, fn func(shot int, defects []int, obsMas
 
 // SparseBatch is the grouped sparse form of one Batch: shot i's fired
 // detectors are Defects[Off[i]:Off[i+1]] (ascending), its observable
-// flips ObsMask[i]. The flat layout is what the decoder layer's batched
-// interface consumes (decoder.SyndromeBatch aliases the same slices), so
-// a whole batch crosses the frame→decoder boundary in one call.
+// flips ObsMask[i]. The golden extraction digests hash this flat form.
 type SparseBatch struct {
 	Defects []int
 	Off     []int32

@@ -1,318 +1,38 @@
 package frame
 
-// Wide-word sampling (DESIGN.md §13).
-//
-// A Sampler advances one 64-shot word per instruction; the dispatch,
-// target-list walking and loop bookkeeping of the compiled plan are paid
-// once per word. WideSampler widens the word path: it samples a group of
-// up to WideWords batches in one cache-blocked pass over the plan, with
-// the per-instruction work unrolled WideWords lanes at a time, so the
-// plan-walking overhead is amortized across the group.
-//
-// Bit-identity with the narrow sampler is by construction, not by
-// testing alone. Every random draw the narrow sampler makes — the
-// per-qubit init words, the reset/measure randomization words, and the
-// geometric-skipping noise stream — depends only on the RNG state, never
-// on the frame. SampleGroup therefore replays each lane's RNG stream
-// first, in exactly the order Sampler.SampleBatch would consume it
-// (lane by lane, matching the sequential batch schedule), recording the
-// randomization words and the resolved noise flips; the wide execution
-// pass then applies them at the same instruction positions. Each lane's
-// Det/Obs words equal the narrow sampler's for the same RNG, which the
-// differential harness (internal/testutil/diffharness) enforces across
-// randomized circuits.
+import "math/rand/v2"
 
-import (
-	"math/rand/v2"
-)
-
-// WideWords is the number of 64-shot words a wide sampler advances per
-// instruction: one SampleGroup call covers up to WideWords*64 shots.
+// WideWords is the most batches one WideSampler.SampleGroup call takes.
 const WideWords = 4
 
-// The wide execution pass unrolls lane operations by hand; this guard
-// forces a compile error here if WideWords changes without it.
-var _ = [1]struct{}{}[WideWords-4]
-
-// laneW holds one frame word per lane of a wide group.
-type laneW [WideWords]uint64
-
-// noiseEvent is one recorded noise hit, resolved at replay time to the
-// flip it applies: Pauli flip (1=X, 2=Y, 3=Z) on qubit q's shot bit,
-// due at instruction index in.
-type noiseEvent struct {
-	in   int32
-	q    int32
-	shot uint8
-	flip uint8
-}
-
-// WideSampler samples groups of up to WideWords batches through a
-// compiled plan. Mint one per goroutine with Plan.NewWideSampler; all
-// scratch is retained across groups, so steady-state sampling does not
-// allocate.
+// WideSampler samples groups of batches through one compiled Sampler per
+// lane. It runs the same kernel as Plan.NewSampler.
+//
+// Deprecated: the e2ebench mem-d7 replay is the only caller; use
+// Plan.NewSampler and call SampleBatch once per batch.
 type WideSampler struct {
-	plan *Plan
-
-	// Frame state, lane-minor: index [qubit][lane].
-	x, z []laneW
-	rec  []laneW
-	det  []laneW
-	obs  []laneW
-
-	// Per-lane replay streams: randomization words for reset/measure
-	// instructions (consumed sequentially by the execution pass) and
-	// resolved noise events in (instruction, bit) order.
-	randW  [WideWords][]uint64
-	events [WideWords][]noiseEvent
-
-	// Per-lane contiguous output copies backing the returned Batches.
-	detOut []uint64
-	obsOut []uint64
-
+	lanes   [WideWords]*Sampler
 	batches [WideWords]Batch
-
-	// shotDefects backs Batch.ForEachShot on emitted batches, mirroring
-	// the narrow sampler's scratch handoff.
-	shotDefects [WideWords][]int
 }
 
-// NewWideSampler mints a wide sampler executing the compiled plan. Each
-// sampler owns private scratch; mint one per goroutine.
+// NewWideSampler mints a WideSampler over the compiled plan.
+//
+// Deprecated: the e2ebench mem-d7 replay is the only caller; use
+// Plan.NewSampler.
 func (p *Plan) NewWideSampler() *WideSampler {
-	return &WideSampler{
-		plan:   p,
-		x:      make([]laneW, p.numQubits),
-		z:      make([]laneW, p.numQubits),
-		rec:    make([]laneW, p.numMeas),
-		det:    make([]laneW, p.numDetectors),
-		obs:    make([]laneW, p.numObs),
-		detOut: make([]uint64, WideWords*p.numDetectors),
-		obsOut: make([]uint64, WideWords*p.numObs),
+	s := &WideSampler{}
+	for l := range s.lanes {
+		s.lanes[l] = p.NewSampler()
 	}
+	return s
 }
 
-// SampleGroup samples len(shots) batches (1..WideWords of them, each
-// with 1..64 shots) in one wide pass, consuming rng exactly as that many
-// sequential Sampler.SampleBatch calls would and returning bit-identical
-// batches in schedule order. The returned batches alias sampler scratch
-// and are invalidated by the next SampleGroup call.
+// SampleGroup samples batch l with lane l's SampleBatch, in order, so rng
+// is consumed exactly as by len(shots) sequential SampleBatch calls. The
+// batches alias lane scratch until the next SampleGroup call.
 func (s *WideSampler) SampleGroup(rng *rand.Rand, shots []int) []Batch {
-	nl := len(shots)
-	if nl < 1 || nl > WideWords {
-		panic("frame: wide group must hold 1..WideWords batches")
-	}
-	for _, n := range shots {
-		if n <= 0 || n > 64 {
-			panic("frame: batch shots must be in [1,64]")
-		}
-	}
 	for l, n := range shots {
-		s.replayLane(rng, l, n)
+		s.batches[l] = s.lanes[l].SampleBatch(rng, n)
 	}
-	for i := range s.det {
-		s.det[i] = laneW{}
-	}
-	for i := range s.obs {
-		s.obs[i] = laneW{}
-	}
-	s.exec(nl)
-
-	nd, no := len(s.det), len(s.obs)
-	for l := 0; l < nl; l++ {
-		dst := s.detOut[l*nd : (l+1)*nd]
-		for d := range s.det {
-			dst[d] = s.det[d][l]
-		}
-		odst := s.obsOut[l*no : (l+1)*no]
-		for o := range s.obs {
-			odst[o] = s.obs[o][l]
-		}
-		s.batches[l] = Batch{Shots: shots[l], Det: dst, Obs: odst, denseScratch: &s.shotDefects[l]}
-	}
-	return s.batches[:nl]
-}
-
-// replayLane consumes lane l's RNG stream in the narrow sampler's exact
-// draw order: init words straight into the wide frame, randomization
-// words into randW, noise hits resolved into events.
-func (s *WideSampler) replayLane(rng *rand.Rand, l, n int) {
-	for q := range s.z {
-		s.x[q][l] = 0
-		s.z[q][l] = rng.Uint64() // |0⟩ init: random stabilizer Z frame
-	}
-	evs := s.events[l][:0]
-	rw := s.randW[l][:0]
-	for i := range s.plan.instrs {
-		in := &s.plan.instrs[i]
-		ii := int32(i)
-		switch in.kind {
-		case iReset, iMeasure, iMeasureReset:
-			for range in.targets {
-				rw = append(rw, rng.Uint64())
-			}
-		case iXError:
-			forEachFlipInv(rng, in.p, in.invLog, len(in.targets)*n, func(bit int) {
-				evs = append(evs, noiseEvent{in: ii, q: in.targets[bit/n], shot: uint8(bit % n), flip: 1})
-			})
-		case iZError:
-			forEachFlipInv(rng, in.p, in.invLog, len(in.targets)*n, func(bit int) {
-				evs = append(evs, noiseEvent{in: ii, q: in.targets[bit/n], shot: uint8(bit % n), flip: 3})
-			})
-		case iDepolarize1:
-			forEachFlipInv(rng, in.p, in.invLog, len(in.targets)*n, func(bit int) {
-				q := in.targets[bit/n]
-				shot := uint8(bit % n)
-				// The aux draw maps cases 0/1/2 to X/Y/Z exactly as the
-				// narrow sampler does.
-				evs = append(evs, noiseEvent{in: ii, q: q, shot: shot, flip: uint8(rng.IntN(3)) + 1})
-			})
-		case iDepolarize2:
-			forEachFlipInv(rng, in.p, in.invLog, len(in.targets)/2*n, func(bit int) {
-				pair := bit / n
-				shot := uint8(bit % n)
-				k := 1 + rng.IntN(15)
-				// k%4 / k/4 are the packed Paulis on the pair's two qubits;
-				// 0 components apply nothing and record nothing.
-				if pa := k % 4; pa != 0 {
-					evs = append(evs, noiseEvent{in: ii, q: in.targets[2*pair], shot: shot, flip: uint8(pa)})
-				}
-				if pb := k / 4; pb != 0 {
-					evs = append(evs, noiseEvent{in: ii, q: in.targets[2*pair+1], shot: shot, flip: uint8(pb)})
-				}
-			})
-		case iPauliChannel1:
-			forEachFlipInv(rng, in.p, in.invLog, len(in.targets)*n, func(bit int) {
-				q := in.targets[bit/n]
-				shot := uint8(bit % n)
-				u := rng.Float64() * in.p
-				flip := uint8(3)
-				switch {
-				case u < in.px:
-					flip = 1
-				case u < in.px+in.py:
-					flip = 2
-				}
-				evs = append(evs, noiseEvent{in: ii, q: q, shot: shot, flip: flip})
-			})
-		}
-	}
-	s.events[l] = evs
-	s.randW[l] = rw
-}
-
-// exec runs the wide execution pass: one walk over the plan advancing
-// all lanes per instruction, consuming the replayed randomization words
-// and noise events at their recorded positions.
-func (s *WideSampler) exec(nl int) {
-	var rc, ec [WideWords]int // per-lane randW / event cursors
-	for i := range s.plan.instrs {
-		in := &s.plan.instrs[i]
-		switch in.kind {
-		case iHadamard:
-			for _, q := range in.targets {
-				s.x[q], s.z[q] = s.z[q], s.x[q]
-			}
-		case iPhase:
-			for _, q := range in.targets {
-				xq, zq := &s.x[q], &s.z[q]
-				zq[0] ^= xq[0]
-				zq[1] ^= xq[1]
-				zq[2] ^= xq[2]
-				zq[3] ^= xq[3]
-			}
-		case iCNOT:
-			tg := in.targets
-			for j := 0; j < len(tg); j += 2 {
-				c, t := tg[j], tg[j+1]
-				xc, zc := &s.x[c], &s.z[c]
-				xt, zt := &s.x[t], &s.z[t]
-				xt[0] ^= xc[0]
-				xt[1] ^= xc[1]
-				xt[2] ^= xc[2]
-				xt[3] ^= xc[3]
-				zc[0] ^= zt[0]
-				zc[1] ^= zt[1]
-				zc[2] ^= zt[2]
-				zc[3] ^= zt[3]
-			}
-		case iReset:
-			for _, q := range in.targets {
-				s.x[q] = laneW{}
-				zq := &s.z[q]
-				for l := 0; l < nl; l++ {
-					zq[l] = s.randW[l][rc[l]]
-					rc[l]++
-				}
-			}
-		case iMeasure:
-			rec := in.out
-			for _, q := range in.targets {
-				s.rec[rec] = s.x[q]
-				rec++
-				zq := &s.z[q]
-				for l := 0; l < nl; l++ {
-					zq[l] = s.randW[l][rc[l]]
-					rc[l]++
-				}
-			}
-		case iMeasureReset:
-			rec := in.out
-			for _, q := range in.targets {
-				s.rec[rec] = s.x[q]
-				rec++
-				s.x[q] = laneW{}
-				zq := &s.z[q]
-				for l := 0; l < nl; l++ {
-					zq[l] = s.randW[l][rc[l]]
-					rc[l]++
-				}
-			}
-		case iXError, iZError, iDepolarize1, iDepolarize2, iPauliChannel1:
-			ii := int32(i)
-			for l := 0; l < nl; l++ {
-				evs := s.events[l]
-				c := ec[l]
-				for c < len(evs) && evs[c].in == ii {
-					ev := evs[c]
-					bit := uint64(1) << ev.shot
-					switch ev.flip {
-					case 1:
-						s.x[ev.q][l] ^= bit
-					case 2:
-						s.x[ev.q][l] ^= bit
-						s.z[ev.q][l] ^= bit
-					case 3:
-						s.z[ev.q][l] ^= bit
-					}
-					c++
-				}
-				ec[l] = c
-			}
-		case iDetector:
-			var w laneW
-			for _, r := range in.records {
-				rw := &s.rec[r]
-				w[0] ^= rw[0]
-				w[1] ^= rw[1]
-				w[2] ^= rw[2]
-				w[3] ^= rw[3]
-			}
-			s.det[in.out] = w
-		case iObservable:
-			var w laneW
-			for _, r := range in.records {
-				rw := &s.rec[r]
-				w[0] ^= rw[0]
-				w[1] ^= rw[1]
-				w[2] ^= rw[2]
-				w[3] ^= rw[3]
-			}
-			ob := &s.obs[in.out]
-			ob[0] ^= w[0]
-			ob[1] ^= w[1]
-			ob[2] ^= w[2]
-			ob[3] ^= w[3]
-		}
-	}
+	return s.batches[:len(shots)]
 }

@@ -1,9 +1,9 @@
 package mc_test
 
-// Four-path differential test for the Monte Carlo layer, through the
-// shared harness: interpreted, compiled, wide and auto (wide + batched +
-// predecoder) execution must return bit-identical LERResults across
-// worker counts and RunFrom increment schedules. The broad sweep across
+// Two-path differential test for the Monte Carlo layer, through the
+// shared harness: interpreted and auto (compiled sampler + predecoder)
+// execution must return bit-identical LERResults across worker counts
+// and RunFrom increment schedules. The broad sweep across
 // error rates lives with the harness itself; this pins the property from
 // mc's own test suite so `go test ./internal/mc` alone witnesses it.
 

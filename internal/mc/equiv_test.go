@@ -4,7 +4,7 @@ package mc
 // not reach: RunProfile, RoundWeights, custom-decoder runs and
 // hand-built pipelines must return exactly the same values on the
 // default path as on the interpreted dense path, for fixed (circuit,
-// shots, seed, workers). The Run/RunFrom four-path equivalence lives in
+// shots, seed, workers). The Run/RunFrom two-path equivalence lives in
 // diff_test.go (external package, via internal/testutil/diffharness).
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"latticesim/internal/decoder"
 	"latticesim/internal/hardware"
+	"latticesim/internal/obs"
 	"latticesim/internal/surface"
 )
 
@@ -88,5 +89,47 @@ func TestHandBuiltPipelineCompilesOnDemand(t *testing.T) {
 	bare := &Pipeline{Circuit: pl.Circuit, Model: pl.Model, Graph: pl.Graph} // no Plan
 	if got, want := bare.Run(shots, seed), pl.Run(shots, seed); !reflect.DeepEqual(got, want) {
 		t.Fatalf("nil-Plan pipeline %+v != compiled pipeline %+v", got, want)
+	}
+}
+
+// TestRunPredecodesExactlyNonEmptySyndromes pins the default path's
+// decode stage. The predecoder is exact, so no tally notices if it goes
+// missing; its metric counters do. Run must send every non-empty
+// syndrome, and only those, through the predecoder, and the predecoder
+// must resolve some but not all of them. The interpreted path and a
+// hand-built pipeline (no predecoder tables) decode with bare union-find
+// and must send none.
+func TestRunPredecodesExactlyNonEmptySyndromes(t *testing.T) {
+	const seed = 7
+	shots := 3*ShardShots + 100
+	pl := buildTestPipeline(t, 3)
+	nonEmpty := int64(shots - pl.RunProfile(shots, seed, surface.ObsJoint)[0].Shots)
+	predecoded := func(q *Pipeline) (decoded, hits int64) {
+		reg := obs.NewRegistry()
+		q.Metrics = reg
+		if got := q.Run(shots, seed); got.Shots != shots {
+			t.Fatalf("Run tallied %d of %d shots", got.Shots, shots)
+		}
+		return reg.Counter("latticesim_predecoder_shots_total", "").Value(),
+			reg.Counter("latticesim_predecoder_hits_total", "").Value()
+	}
+	for _, workers := range []int{1, 3} {
+		q := *pl
+		q.Workers = workers
+		decoded, hits := predecoded(&q)
+		if decoded != nonEmpty {
+			t.Fatalf("workers=%d: predecoder saw %d shots, want the %d non-empty syndromes of %d", workers, decoded, nonEmpty, shots)
+		}
+		if hits <= 0 || hits >= decoded {
+			t.Fatalf("workers=%d: predecoder resolved %d of %d syndromes, want some but not all", workers, hits, decoded)
+		}
+	}
+	for name, q := range map[string]*Pipeline{
+		"interpreted": interpretedClone(pl),
+		"hand-built":  {Circuit: pl.Circuit, Model: pl.Model, Graph: pl.Graph},
+	} {
+		if decoded, _ := predecoded(q); decoded != 0 {
+			t.Fatalf("%s pipeline: predecoder saw %d shots, want 0", name, decoded)
+		}
 	}
 }

@@ -11,11 +11,11 @@
 // (seed, shard index); shard tallies are folded in shard order, so
 // Pipeline.Run output is a pure function of (circuit, shots, seed).
 //
-// The inner loop runs on the compiled hot path (DESIGN.md §9): workers
-// sample through a shared frame.Plan, extract syndromes sparsely with a
-// per-worker frame.Extractor, and skip decoding entirely for batches in
-// which no detector fired. All of it is bit-identical to the interpreted
-// dense path.
+// The inner loop runs on the compiled hot path (DESIGN.md §9, §13):
+// workers sample through a shared frame.Plan, extract syndromes sparsely
+// with a per-worker frame.Extractor, skip decoding entirely for clean
+// batches and shots, and decode the rest through the predecoder in front
+// of union-find. All of it is bit-identical to the interpreted path.
 package mc
 
 import (
@@ -132,9 +132,9 @@ type Pipeline struct {
 	Ctx context.Context
 
 	// Path selects the execution path. The zero value (PathAuto) is the
-	// fastest one; every path returns bit-identical results (the
-	// differential harness in internal/testutil/diffharness enforces
-	// this), so the others exist for equivalence testing and debugging.
+	// fast one; PathInterpreted is the reference oracle it must match
+	// bit for bit (the differential harness in
+	// internal/testutil/diffharness enforces this).
 	Path Path
 
 	// Metrics, when non-nil, receives shard-granular instrumentation from
@@ -152,31 +152,21 @@ type Pipeline struct {
 	pre *decoder.Predecoder
 }
 
-// Path names a Monte Carlo execution path. All paths produce
+// Path names a Monte Carlo execution path. Both paths produce
 // bit-identical results for the same (circuit, shots, seed); they differ
 // only in speed.
 type Path int
 
 const (
-	// PathAuto (the default) runs the full hot path: wide-word sampling
-	// through the compiled plan, batched sparse extraction, and the
-	// predecoder stage in front of union-find (for the entry points that
-	// decode with union-find).
+	// PathAuto (the default) runs the hot path: the compiled sampler,
+	// sparse extraction, and the predecoder stage in front of union-find
+	// (for the entry points that decode with union-find).
 	PathAuto Path = iota
-	// PathInterpreted forces the uncompiled circuit.Ops sampler and
-	// per-shot decoding: the reference path everything else must match.
+	// PathInterpreted forces the uncompiled circuit.Ops sampler and bare
+	// union-find: the reference oracle for both the compiled sampler and
+	// the predecoder.
 	PathInterpreted
-	// PathCompiled runs the narrow compiled sampler with per-shot
-	// decoding (the PR-3 hot path).
-	PathCompiled
-	// PathWide runs wide-word sampling and batched decoding without the
-	// predecoder stage.
-	PathWide
 )
-
-// usesWide reports whether the path samples through the wide-word group
-// loop.
-func (pt Path) usesWide() bool { return pt == PathAuto || pt == PathWide }
 
 // NewPipeline builds the full decode pipeline for a circuit, including
 // the compiled sampler plan shared by all workers.
@@ -205,8 +195,8 @@ func (p *Pipeline) resolvePlan() *frame.Plan {
 	return frame.Compile(p.Circuit)
 }
 
-// samplerFactory returns a constructor for per-worker narrow samplers
-// (the interpreted or compiled per-word path, per p.Path).
+// samplerFactory returns a constructor for per-worker samplers: the
+// interpreting sampler on PathInterpreted, the compiled one otherwise.
 func (p *Pipeline) samplerFactory() func() *frame.Sampler {
 	if p.Path == PathInterpreted {
 		return func() *frame.Sampler { return frame.NewSampler(p.Circuit) }
@@ -217,32 +207,20 @@ func (p *Pipeline) samplerFactory() func() *frame.Sampler {
 
 // lerState is the per-worker state of a decode run: a private sampler,
 // extractor and decoder, since none of them is safe for concurrent use.
-// Exactly one of sampler/wide is set, per the pipeline's Path.
 type lerState struct {
 	sampler *frame.Sampler
-	wide    *wideState
 	ext     *frame.Extractor
 	dec     decoder.Decoder
 	// cur tracks the last cumulative predecoder tally this worker folded
 	// into the pipeline's metric counters, so each shard contributes
-	// exactly its delta. A pointer member (like wide) because shard calls
-	// receive the state by value; nil when metrics are off.
+	// exactly its delta. A pointer because shard calls receive the state
+	// by value; nil when metrics are off.
 	cur *preCursor
 }
 
 // preCursor is a worker's high-water mark of the cumulative
 // decoder.Statser tallies already published to the metric counters.
 type preCursor struct{ shots, hits int }
-
-// wideState is the per-worker scratch of the wide-word path: the group
-// sampler plus reusable buffers for the grouped sparse syndromes and the
-// batch predictions. A pointer member of lerState so buffer growth in one
-// shard carries over to the worker's next shard.
-type wideState struct {
-	s     *frame.WideSampler
-	sp    frame.SparseBatch
-	preds []uint64
-}
 
 // runLER shards the shot budget and decodes it on the worker pool, with
 // one decoder per worker supplied by newDec.
@@ -253,17 +231,9 @@ func (p *Pipeline) runLER(shots int, seed uint64, workers int, newDec func() dec
 // runLERShards decodes an explicit shard slice; progress reports shots
 // completed within the slice against the given total.
 func (p *Pipeline) runLERShards(plan []shard, total int, seed uint64, workers int, newDec func() decoder.Decoder) LERResult {
-	var newState func() lerState
-	if p.Path.usesWide() {
-		cplan := p.resolvePlan()
-		newState = func() lerState {
-			return lerState{wide: &wideState{s: cplan.NewWideSampler()}, ext: frame.NewExtractor(), dec: newDec()}
-		}
-	} else {
-		newSampler := p.samplerFactory()
-		newState = func() lerState {
-			return lerState{sampler: newSampler(), ext: frame.NewExtractor(), dec: newDec()}
-		}
+	newSampler := p.samplerFactory()
+	newState := func() lerState {
+		return lerState{sampler: newSampler(), ext: frame.NewExtractor(), dec: newDec()}
 	}
 	// Resolve metric handles once per run, outside the shard loop; the
 	// per-shard cost is then one histogram observation plus (at most)
@@ -274,9 +244,9 @@ func (p *Pipeline) runLERShards(plan []shard, total int, seed uint64, workers in
 		shardDur = p.Metrics.Histogram("latticesim_shard_duration_seconds",
 			"Wall time of one Monte Carlo shard (sample + decode).", obs.DefBuckets)
 		preShots = p.Metrics.Counter("latticesim_predecoder_shots_total",
-			"Decoded shots inspected by the predecoder stage.")
+			"Non-empty syndromes decoded through the predecoder stage.")
 		preHits = p.Metrics.Counter("latticesim_predecoder_hits_total",
-			"Decoded shots fully resolved by the predecoder stage.")
+			"Non-empty syndromes fully resolved by the predecoder stage.")
 		inner := newState
 		newState = func() lerState {
 			st := inner()
@@ -293,12 +263,7 @@ func (p *Pipeline) runLERShards(plan []shard, total int, seed uint64, workers in
 			if shardDur != nil {
 				begin = time.Now()
 			}
-			var res LERResult
-			if st.wide != nil {
-				res = p.runShardLERWide(st, sh, seed)
-			} else {
-				res = p.runShardLER(st, sh, seed)
-			}
+			res := p.runShardLER(st, sh, seed)
 			if shardDur != nil {
 				shardDur.Observe(time.Since(begin).Seconds())
 				if ds, ok := st.dec.(decoder.Statser); ok {
@@ -367,76 +332,10 @@ func (p *Pipeline) runShardLER(st lerState, sh shard, seed uint64) LERResult {
 	return res
 }
 
-// runShardLERWide is runShardLER on the wide-word path: batches are
-// sampled in groups of up to frame.WideWords through one cache-blocked
-// pass over the plan, and non-clean batches cross into the decoder layer
-// whole, as grouped sparse syndromes (decoder.SyndromeBatch). The batch
-// schedule, RNG consumption, decode-call sequence and tallies are exactly
-// the narrow loop's, so the result is bit-identical for every decoder.
-func (p *Pipeline) runShardLERWide(st lerState, sh shard, seed uint64) LERResult {
-	rng := stats.NewRand(shardSeed(seed, sh.index))
-	res := LERResult{Errors: make([]int, p.Circuit.NumObservables())}
-	trivialEmpty := decoder.EmptySyndromeFree(st.dec)
-	bd, batched := st.dec.(decoder.BatchDecoder)
-	ws := st.wide
-	var counts [frame.WideWords]int
-	for done := 0; done < sh.shots; {
-		// Fill a group with the canonical 64, …, 64, remainder schedule.
-		ng := 0
-		for ng < frame.WideWords && done < sh.shots {
-			n := sh.shots - done
-			if n > 64 {
-				n = 64
-			}
-			counts[ng] = n
-			ng++
-			done += n
-		}
-		for _, b := range ws.s.SampleGroup(rng, counts[:ng]) {
-			res.Shots += b.Shots
-			if trivialEmpty && !b.AnyDetectorFired() {
-				mask := b.Mask()
-				for o, w := range b.Obs {
-					res.Errors[o] += bits.OnesCount64(w & mask)
-				}
-				continue
-			}
-			st.ext.Extract(b, &ws.sp)
-			sb := decoder.SyndromeBatch{Defects: ws.sp.Defects, Off: ws.sp.Off}
-			if cap(ws.preds) < b.Shots {
-				ws.preds = make([]uint64, 64)
-			}
-			preds := ws.preds[:b.Shots]
-			if batched {
-				bd.DecodeBatch(&sb, preds)
-			} else {
-				for i := range preds {
-					defects := sb.Shot(i)
-					if len(defects) == 0 && trivialEmpty {
-						preds[i] = 0
-						continue
-					}
-					preds[i] = st.dec.Decode(defects)
-				}
-			}
-			for i := range preds {
-				res.DetectorFires += int(sb.Off[i+1] - sb.Off[i])
-				miss := preds[i] ^ ws.sp.ObsMask[i]
-				for miss != 0 {
-					o := bits.TrailingZeros64(miss)
-					res.Errors[o]++
-					miss &^= 1 << uint(o)
-				}
-			}
-		}
-	}
-	return res
-}
-
 // ufFactory returns the per-worker decoder constructor for the
 // union-find entry points (Run, RunFrom): on PathAuto with predecoder
 // tables available, each worker's union-find is fronted by the
-// predecoder stage; every other path gets the bare union-find.
+// predecoder stage; otherwise it is the bare union-find.
 func (p *Pipeline) ufFactory() func() decoder.Decoder {
 	if p.Path == PathAuto && p.pre != nil {
 		pre := p.pre

@@ -1,20 +1,20 @@
 // Package diffharness is the shared differential correctness harness for
 // the simulator's execution paths (DESIGN.md §13). Every optimization of
-// the hot loop — plan compilation, wide-word sampling, sparse batch
-// extraction, the predecoder stage — is required to be bit-identical to
-// the interpreted reference, and this package is where that requirement
-// is enforced: it generates randomized circuits, runs the same schedule
-// through every path, and reports the *first* divergence precisely (the
-// diverging batch, word, shot lane and the compiled-plan instruction that
-// computed it) so a regression points at the instruction to debug rather
-// than at a failed DeepEqual.
+// the hot loop — plan compilation, sparse extraction, the predecoder
+// stage — is required to be bit-identical to the interpreted reference,
+// and this package is where that requirement is enforced: it generates
+// randomized circuits, runs the same schedule through every path, and
+// reports the *first* divergence precisely (the diverging batch, word,
+// shot lane and the compiled-plan instruction that computed it) so a
+// regression points at the instruction to debug rather than at a failed
+// DeepEqual.
 //
 // Two comparison layers match the two layers of the pipeline:
 //
-//   - CompareSamplers checks the frame layer: interpreted, compiled and
-//     wide samplers must emit byte-equal Det/Obs words for the same RNG
-//     seed over an arbitrary batch schedule.
-//   - ComparePipelines checks the Monte Carlo layer end to end: the four
+//   - CompareSamplers checks the frame layer: the interpreted and
+//     compiled samplers must emit byte-equal Det/Obs words for the same
+//     RNG seed over an arbitrary batch schedule.
+//   - ComparePipelines checks the Monte Carlo layer end to end: both
 //     mc.Path execution paths must return identical LERResult tallies for
 //     every (seed, workers) combination, and RunFrom increments covering
 //     the budget must merge to exactly the single-call result.
@@ -193,9 +193,6 @@ const (
 	SamplerInterpreted SamplerPath = iota
 	// SamplerCompiled executes the compiled plan one word at a time.
 	SamplerCompiled
-	// SamplerWide executes the compiled plan frame.WideWords words per
-	// pass, grouping the schedule into wide groups.
-	SamplerWide
 )
 
 // String returns the path's name for divergence reports.
@@ -205,50 +202,31 @@ func (sp SamplerPath) String() string {
 		return "interpreted"
 	case SamplerCompiled:
 		return "compiled"
-	case SamplerWide:
-		return "wide"
 	}
 	return fmt.Sprintf("SamplerPath(%d)", int(sp))
 }
 
 // SamplerPaths lists every frame-layer path the harness compares.
-var SamplerPaths = []SamplerPath{SamplerInterpreted, SamplerCompiled, SamplerWide}
+var SamplerPaths = []SamplerPath{SamplerInterpreted, SamplerCompiled}
 
 // SampleWords runs the schedule through one sampling path from the given
-// seed and returns copies of every batch's words. The wide path groups
-// the schedule into runs of up to frame.WideWords batches, exactly as the
-// Monte Carlo loop does.
+// seed and returns copies of every batch's words.
 func SampleWords(path SamplerPath, c *circuit.Circuit, plan *frame.Plan, seed uint64, sched Schedule) Words {
 	rng := stats.NewRand(seed)
-	var w Words
-	record := func(b frame.Batch) {
-		w.Det = append(w.Det, append([]uint64(nil), b.Det...))
-		w.Obs = append(w.Obs, append([]uint64(nil), b.Obs...))
-	}
+	var s *frame.Sampler
 	switch path {
 	case SamplerInterpreted:
-		s := frame.NewSampler(c)
-		for _, n := range sched {
-			record(s.SampleBatch(rng, n))
-		}
+		s = frame.NewSampler(c)
 	case SamplerCompiled:
-		s := plan.NewSampler()
-		for _, n := range sched {
-			record(s.SampleBatch(rng, n))
-		}
-	case SamplerWide:
-		s := plan.NewWideSampler()
-		for off := 0; off < len(sched); off += frame.WideWords {
-			end := off + frame.WideWords
-			if end > len(sched) {
-				end = len(sched)
-			}
-			for _, b := range s.SampleGroup(rng, sched[off:end]) {
-				record(b)
-			}
-		}
+		s = plan.NewSampler()
 	default:
 		panic("diffharness: unknown sampler path")
+	}
+	var w Words
+	for _, n := range sched {
+		b := s.SampleBatch(rng, n)
+		w.Det = append(w.Det, append([]uint64(nil), b.Det...))
+		w.Obs = append(w.Obs, append([]uint64(nil), b.Obs...))
 	}
 	return w
 }
@@ -295,19 +273,15 @@ func firstWordDivergence(plan *frame.Plan, ref, got Words, sched Schedule) strin
 }
 
 // PipelinePaths lists every Monte Carlo execution path, reference first.
-var PipelinePaths = []mc.Path{mc.PathInterpreted, mc.PathCompiled, mc.PathWide, mc.PathAuto}
+var PipelinePaths = []mc.Path{mc.PathInterpreted, mc.PathAuto}
 
 // PathName names an mc execution path for divergence reports.
 func PathName(p mc.Path) string {
 	switch p {
 	case mc.PathAuto:
-		return "auto (wide+batched+predecoder)"
+		return "auto (compiled+predecoder)"
 	case mc.PathInterpreted:
 		return "interpreted"
-	case mc.PathCompiled:
-		return "compiled"
-	case mc.PathWide:
-		return "wide"
 	}
 	return fmt.Sprintf("Path(%d)", int(p))
 }

@@ -14,8 +14,8 @@ import (
 	"latticesim/internal/surface"
 )
 
-// TestDifferentialSamplers fuzzes randomized circuits through every
-// frame-layer sampling path (interpreted, compiled, wide) over the
+// TestDifferentialSamplers fuzzes randomized circuits through both
+// frame-layer sampling paths (interpreted, compiled) over the
 // boundary-case batch schedule.
 func TestDifferentialSamplers(t *testing.T) {
 	trials := 40
@@ -34,9 +34,10 @@ func TestDifferentialSamplers(t *testing.T) {
 	}
 }
 
-// TestDifferentialSamplerGroupShapes exercises every wide-group shape —
-// single-batch groups, partial lanes, partial tail shots — since the wide
-// path's lane bookkeeping is exactly what could break on them.
+// TestDifferentialSamplerGroupShapes runs the compiled sampler through
+// schedules DefaultSchedule lacks — a lone batch, full batches after a
+// partial one, runs of single and short batches between full ones — so
+// scratch left behind by a partial batch must not leak into the next.
 func TestDifferentialSamplerGroupShapes(t *testing.T) {
 	genRng := rand.New(rand.NewPCG(5, 0xD1FF))
 	c := RandomCircuit(genRng, 8, 80)
@@ -55,8 +56,8 @@ func TestDifferentialSamplerGroupShapes(t *testing.T) {
 	}
 }
 
-// TestDifferentialPipelines runs the four Monte Carlo execution paths
-// over real surface-code merge circuits, across worker counts and
+// TestDifferentialPipelines runs both Monte Carlo execution paths over
+// real surface-code merge circuits, across worker counts and
 // RunFrom increment schedules, asserting every tally bit-identical to
 // the interpreted reference.
 func TestDifferentialPipelines(t *testing.T) {
