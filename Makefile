@@ -82,9 +82,12 @@ bench-compare: bench
 
 # diff runs the differential harness's randomized suite (fixed seeds,
 # trimmed trial counts) under the race detector — the same job CI runs on
-# every push. diff-long removes -short for the full randomized sweep.
+# every push — then repeats the predecoder's concurrent memo-fill test
+# 20 times under it, since the detector only sees races that happen.
+# diff-long removes -short for the full randomized sweep.
 diff:
 	$(GO) test -race -short -count 1 ./internal/testutil/diffharness
+	$(GO) test -race -count=20 -run TestPredecoderConcurrentFill ./internal/decoder
 
 diff-long:
 	$(GO) test -race -count 1 -timeout 30m ./internal/testutil/diffharness

@@ -1,6 +1,9 @@
 package decoder
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Sliding-window predecoder (DESIGN.md §13).
 //
@@ -18,7 +21,7 @@ import "math"
 //
 // Bit-identity is by construction, not by approximation. For every
 // detector–detector edge (pair unit) and every detector (singleton
-// unit) the predecoder precomputes (a) the exact union-find prediction
+// unit) the predecoder memoizes (a) the exact union-find prediction
 // for that defect set in isolation and (b) its influence closure: every
 // node the isolated run touches (initialized nodes plus both endpoints
 // of every edge it grows). Union-find clusters interact only through
@@ -30,6 +33,13 @@ import "math"
 // integration on it). Any closure overlap — or any defect heavier than
 // the attempt gate — takes the fall-through path, so a failed
 // decomposition can cost a probe but never correctness.
+//
+// A unit's memo is filled the first time a decode needs it, not up
+// front: a workload touches anywhere from 0.3% to nearly all of a
+// graph's units, so an eager build either wastes most of its work or
+// is what a lazy one converges to. Union-find resets every per-shot
+// field after a decode, so a memo is a pure function of (graph,
+// defects); whichever worker fills it first publishes the same bits.
 
 // maxPredecodeWeight gates the decomposition attempt: syndromes with
 // more defects go straight to the full decoder. Dense syndromes almost
@@ -39,10 +49,10 @@ import "math"
 // d=7 memory workloads in BenchmarkPredecodedDecode.
 const maxPredecodeWeight = 12
 
-// Predecoder holds the immutable per-graph tables: adjacency for pair
-// matching plus per-unit memoized predictions and influence closures.
-// Build one per decoder graph with NewPredecoder and share it across
-// workers; per-worker state lives in Predecoded (see NewDecoder).
+// Predecoder holds the per-graph tables: adjacency for pair matching
+// plus per-unit memoized predictions and influence closures. Build one
+// per decoder graph with NewPredecoder and share it across workers;
+// per-worker state lives in Predecoded (see NewDecoder).
 type Predecoder struct {
 	g *Graph
 
@@ -52,17 +62,22 @@ type Predecoder struct {
 	// deterministic.
 	nbr [][]pairCand
 
-	// pairPred[e] is UnionFind.Decode({A,B}) for detector–detector edge
-	// e, with defects in ascending order; pairInfl[e] is the influence
-	// closure of that run (sorted, deduplicated). Both are nil for
-	// boundary edges, which can never be a defect pair.
-	pairPred []uint64
-	pairInfl [][]int32
+	// pair[e] memoizes UnionFind.Decode({A,B}) for detector–detector
+	// edge e, with defects in ascending order; solo[v] memoizes
+	// UnionFind.Decode({v}), the singleton unit backing unmatched
+	// defects. A slot is nil until a decode first needs it, and is
+	// written once (compare-and-swap from nil). Boundary edges' slots
+	// stay nil: they can never be a defect pair.
+	pair []atomic.Pointer[unitMemo]
+	solo []atomic.Pointer[unitMemo]
+}
 
-	// soloPred[v] / soloInfl[v] memoize UnionFind.Decode({v}) per
-	// detector: the singleton unit backing unmatched defects.
-	soloPred []uint64
-	soloInfl [][]int32
+// unitMemo is one unit's isolated union-find answer: its prediction
+// and its influence closure (sorted, deduplicated). Immutable once
+// published.
+type unitMemo struct {
+	pred uint64
+	infl []int32
 }
 
 // pairCand is one matching candidate: defect v reachable via edge e.
@@ -71,45 +86,22 @@ type pairCand struct {
 	e int32
 }
 
-// NewPredecoder builds the unit-memo tables for the graph by running an
-// instrumented union-find decode per detector–detector edge and per
-// detector. The tables are immutable afterwards and safe to share
-// across goroutines.
+// NewPredecoder builds the pair-matching adjacency for the graph and
+// empty unit-memo slots, which decodes fill on first use. It is safe to
+// share across goroutines.
 func NewPredecoder(g *Graph) *Predecoder {
 	p := &Predecoder{
-		g:        g,
-		nbr:      make([][]pairCand, g.NumDetectors),
-		pairPred: make([]uint64, len(g.Edges)),
-		pairInfl: make([][]int32, len(g.Edges)),
-		soloPred: make([]uint64, g.NumDetectors),
-		soloInfl: make([][]int32, g.NumDetectors),
+		g:    g,
+		nbr:  make([][]pairCand, g.NumDetectors),
+		pair: make([]atomic.Pointer[unitMemo], len(g.Edges)),
+		solo: make([]atomic.Pointer[unitMemo], g.NumDetectors),
 	}
-	uf := NewUnionFind(g)
-	seen := make([]bool, g.NumNodes)
-	defects := make([]int, 2)
 	for ei, e := range g.Edges {
 		if g.IsBoundary(e.A) || g.IsBoundary(e.B) {
 			continue
 		}
-		a, b := e.A, e.B
-		if a > b {
-			a, b = b, a
-		}
-		p.nbr[a] = append(p.nbr[a], pairCand{v: b, e: int32(ei)})
-		p.nbr[b] = append(p.nbr[b], pairCand{v: a, e: int32(ei)})
-		// Memoize the exact answer and closure for this pair, with the
-		// defects in the ascending order the extractor delivers them.
-		defects[0], defects[1] = int(a), int(b)
-		obs, closure := uf.decodeTouch(defects, nil)
-		p.pairPred[ei] = obs
-		p.pairInfl[ei] = dedupNodes(closure, seen)
-	}
-	solo := make([]int, 1)
-	for v := 0; v < g.NumDetectors; v++ {
-		solo[0] = v
-		obs, closure := uf.decodeTouch(solo, nil)
-		p.soloPred[v] = obs
-		p.soloInfl[v] = dedupNodes(closure, seen)
+		p.nbr[e.A] = append(p.nbr[e.A], pairCand{v: e.B, e: int32(ei)})
+		p.nbr[e.B] = append(p.nbr[e.B], pairCand{v: e.A, e: int32(ei)})
 	}
 	return p
 }
@@ -177,6 +169,12 @@ type Predecoded struct {
 	gen     int32
 	pairs   []peeledPair
 
+	// Memo-fill scratch: the unit's defects, the raw closure of its
+	// isolated run, and dedupNodes' marks (allocated on the first fill).
+	unit    [2]int
+	closure []int32
+	seen    []bool
+
 	// Telemetry (observation only; not part of any result).
 	shots int // decodes seen
 	hits  int // syndromes answered by full decomposition
@@ -199,6 +197,44 @@ func (p *Predecoder) NewDecoder(uf *UnionFind) *Predecoded {
 		pairOf:  make([]int32, p.g.NumDetectors),
 		inflGen: make([]int32, p.g.NumNodes),
 	}
+}
+
+// fill computes the memo of the unit with the given defects — its
+// isolated UnionFind.Decode answer and influence closure, run on the
+// worker's own fall-through — and publishes it to slot. A worker that
+// loses the publication race returns the winner's memo, which holds the
+// same bits.
+func (d *Predecoded) fill(slot *atomic.Pointer[unitMemo], defects []int) *unitMemo {
+	if d.seen == nil {
+		d.seen = make([]bool, d.t.g.NumNodes)
+	}
+	pred, closure := d.uf.decodeTouch(defects, d.closure[:0])
+	d.closure = closure
+	m := &unitMemo{pred: pred, infl: dedupNodes(closure, d.seen)}
+	if slot.CompareAndSwap(nil, m) {
+		return m
+	}
+	return slot.Load()
+}
+
+// soloMemo returns the singleton unit memo of defect v, filling it on
+// first use.
+func (d *Predecoded) soloMemo(v int) *unitMemo {
+	if m := d.t.solo[v].Load(); m != nil {
+		return m
+	}
+	d.unit[0] = v
+	return d.fill(&d.t.solo[v], d.unit[:1])
+}
+
+// pairMemo returns the memo of matched pair p, filling it on first use
+// with the defects in ascending order.
+func (d *Predecoded) pairMemo(p peeledPair) *unitMemo {
+	if m := d.t.pair[p.e].Load(); m != nil {
+		return m
+	}
+	d.unit[0], d.unit[1] = int(min(p.a, p.b)), int(max(p.a, p.b))
+	return d.fill(&d.t.pair[p.e], d.unit[:2])
 }
 
 // EmptySyndromeFree marks the predecoded decoder: an empty defect set
@@ -228,11 +264,10 @@ func (d *Predecoded) Decode(defects []int) uint64 {
 	if n == 0 {
 		return 0
 	}
-	t := d.t
 	if n == 1 {
 		// A lone defect is the memoized singleton run itself.
 		d.hits++
-		return t.soloPred[defects[0]]
+		return d.soloMemo(defects[0]).pred
 	}
 	if n > maxPredecodeWeight {
 		return d.uf.Decode(defects)
@@ -258,7 +293,7 @@ func (d *Predecoded) Decode(defects []int) uint64 {
 		if d.pairOf[u] >= 0 {
 			continue
 		}
-		for _, c := range t.nbr[u] {
+		for _, c := range d.t.nbr[u] {
 			if d.present[c.v] != gen || d.pairOf[c.v] >= 0 {
 				continue
 			}
@@ -277,28 +312,25 @@ func (d *Predecoded) Decode(defects []int) uint64 {
 	// and the full decoder answers.
 	var pred uint64
 	for _, u := range defects {
-		var infl []int32
-		var unitPred uint64
+		var m *unitMemo
 		if pi := d.pairOf[u]; pi >= 0 {
 			p := pairs[pi]
 			if p.b == int32(u) {
 				continue // second endpoint: unit already processed at a
 			}
-			infl = t.pairInfl[p.e]
-			unitPred = t.pairPred[p.e]
+			m = d.pairMemo(p)
 		} else {
-			infl = t.soloInfl[u]
-			unitPred = t.soloPred[u]
+			m = d.soloMemo(u)
 		}
-		for _, node := range infl {
+		for _, node := range m.infl {
 			if d.inflGen[node] == gen {
 				return d.uf.Decode(defects)
 			}
 		}
-		for _, node := range infl {
+		for _, node := range m.infl {
 			d.inflGen[node] = gen
 		}
-		pred ^= unitPred
+		pred ^= m.pred
 	}
 	d.hits++
 	return pred

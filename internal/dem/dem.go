@@ -11,9 +11,11 @@
 package dem
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -68,24 +70,43 @@ func xorSens(a, b sensitivity) sensitivity {
 	if a.empty() {
 		return sensitivity{dets: append([]int32(nil), b.dets...), obs: b.obs}
 	}
-	out := make([]int32, 0, len(a.dets)+len(b.dets))
+	return sensitivity{dets: mergeXor(make([]int32, 0, len(a.dets)+len(b.dets)), a.dets, b.dets), obs: a.obs ^ b.obs}
+}
+
+// xorScratch is xorSens for symptoms that are recorded and dropped: the
+// merged detector list is written into *buf, which grows as needed and
+// is reused by the next call. The result is valid until then. It may
+// alias a or b when the other is empty.
+func xorScratch(buf *[]int32, a, b sensitivity) sensitivity {
+	if b.empty() {
+		return a
+	}
+	if a.empty() {
+		return b
+	}
+	*buf = mergeXor((*buf)[:0], a.dets, b.dets)
+	return sensitivity{dets: *buf, obs: a.obs ^ b.obs}
+}
+
+// mergeXor appends the symmetric difference of the sorted lists a and b
+// to out.
+func mergeXor(out, a, b []int32) []int32 {
 	i, j := 0, 0
-	for i < len(a.dets) && j < len(b.dets) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case a.dets[i] < b.dets[j]:
-			out = append(out, a.dets[i])
+		case a[i] < b[j]:
+			out = append(out, a[i])
 			i++
-		case a.dets[i] > b.dets[j]:
-			out = append(out, b.dets[j])
+		case a[i] > b[j]:
+			out = append(out, b[j])
 			j++
 		default:
 			i++
 			j++
 		}
 	}
-	out = append(out, a.dets[i:]...)
-	out = append(out, b.dets[j:]...)
-	return sensitivity{dets: out, obs: a.obs ^ b.obs}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // FromCircuit extracts the detector error model of c.
@@ -118,27 +139,34 @@ func FromCircuit(c *circuit.Circuit) *Model {
 	fx := make([]sensitivity, c.NumQubits())
 	fz := make([]sensitivity, c.NumQubits())
 
-	type key struct {
-		dets string
-		obs  uint64
-	}
-	acc := make(map[key]*Error)
+	// acc maps a symptom's key to its index in m.Errors. The key is its
+	// detectors as 4 little-endian bytes each, then the 8-byte observable
+	// mask, assembled in one reused buffer: probing with acc[string(key)]
+	// does not allocate, so only a new symptom copies its key and its
+	// detectors.
+	acc := make(map[string]int32)
+	var key []byte
 	record := func(p float64, s sensitivity) {
 		if p <= 0 || s.empty() {
 			return
 		}
-		var sb strings.Builder
+		key = key[:0]
 		for _, d := range s.dets {
-			fmt.Fprintf(&sb, "%d,", d)
+			key = binary.LittleEndian.AppendUint32(key, uint32(d))
 		}
-		k := key{dets: sb.String(), obs: s.obs}
-		if e, ok := acc[k]; ok {
+		key = binary.LittleEndian.AppendUint64(key, s.obs)
+		if i, ok := acc[string(key)]; ok {
 			// Two mechanisms with identical symptoms combine under XOR.
+			e := &m.Errors[i]
 			e.P = e.P*(1-p) + p*(1-e.P)
 			return
 		}
-		acc[k] = &Error{P: p, Detectors: append([]int32(nil), s.dets...), Obs: s.obs}
+		acc[string(key)] = int32(len(m.Errors))
+		m.Errors = append(m.Errors, Error{P: p, Detectors: append([]int32(nil), s.dets...), Obs: s.obs})
 	}
+	// Scratch for the Y = X·Z terms and DEPOLARIZE2 products, which are
+	// recorded and then dropped.
+	var ya, yb, prod []int32
 
 	// The record counter runs backwards from the total.
 	nextRec := int32(c.NumMeasurements())
@@ -199,48 +227,39 @@ func FromCircuit(c *circuit.Circuit) *Model {
 			for _, q := range op.Targets {
 				record(p, fx[q])
 				record(p, fz[q])
-				record(p, xorSens(fx[q], fz[q]))
+				record(p, xorScratch(&ya, fx[q], fz[q]))
 			}
 		case circuit.OpDepolarize2:
 			p := op.Args[0] / 15
 			for i := 0; i < len(op.Targets); i += 2 {
 				a, b := op.Targets[i], op.Targets[i+1]
-				pa := [4]sensitivity{{}, fx[a], xorSens(fx[a], fz[a]), fz[a]}
-				pb := [4]sensitivity{{}, fx[b], xorSens(fx[b], fz[b]), fz[b]}
+				pa := [4]sensitivity{{}, fx[a], xorScratch(&ya, fx[a], fz[a]), fz[a]}
+				pb := [4]sensitivity{{}, fx[b], xorScratch(&yb, fx[b], fz[b]), fz[b]}
 				for ka := 0; ka < 4; ka++ {
 					for kb := 0; kb < 4; kb++ {
 						if ka == 0 && kb == 0 {
 							continue
 						}
-						record(p, xorSens(pa[ka], pb[kb]))
+						record(p, xorScratch(&prod, pa[ka], pb[kb]))
 					}
 				}
 			}
 		case circuit.OpPauliChannel1:
 			for _, q := range op.Targets {
 				record(op.Args[0], fx[q])
-				record(op.Args[1], xorSens(fx[q], fz[q]))
+				record(op.Args[1], xorScratch(&ya, fx[q], fz[q]))
 				record(op.Args[2], fz[q])
 			}
 		case circuit.OpDetector, circuit.OpObservable, circuit.OpQubitCoords, circuit.OpTick:
 		}
 	}
 
-	m.Errors = make([]Error, 0, len(acc))
-	for _, e := range acc {
-		m.Errors = append(m.Errors, *e)
-	}
-	sort.Slice(m.Errors, func(i, j int) bool {
-		a, b := m.Errors[i], m.Errors[j]
-		for k := 0; k < len(a.Detectors) && k < len(b.Detectors); k++ {
-			if a.Detectors[k] != b.Detectors[k] {
-				return a.Detectors[k] < b.Detectors[k]
-			}
+	// Keys are unique, so this order is total.
+	slices.SortFunc(m.Errors, func(a, b Error) int {
+		if c := slices.Compare(a.Detectors, b.Detectors); c != 0 {
+			return c
 		}
-		if len(a.Detectors) != len(b.Detectors) {
-			return len(a.Detectors) < len(b.Detectors)
-		}
-		return a.Obs < b.Obs
+		return cmp.Compare(a.Obs, b.Obs)
 	})
 	return m
 }

@@ -11,7 +11,6 @@ import (
 
 	"latticesim/internal/core"
 	"latticesim/internal/decoder"
-	"latticesim/internal/dem"
 	"latticesim/internal/dropout"
 	"latticesim/internal/hardware"
 	"latticesim/internal/mc"
@@ -99,12 +98,11 @@ func ExtAblation(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	m := dem.FromCircuit(res.Circuit)
-	g := decoder.BuildGraph(m)
 	pl, err := mc.NewPipeline(res.Circuit)
 	if err != nil {
 		return err
 	}
+	m, g := pl.Model, pl.Graph
 
 	pl.Workers = o.Workers
 	// Each worker gets a private decoder instance from its row's factory;
