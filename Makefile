@@ -96,15 +96,19 @@ diff-long:
 # under the race detector: CHAOS_SCHEDULES seed-derived fault plans
 # (crashed/wedged workers, torn store writes, dropped connections,
 # random cancels), each asserting that every job terminates, completed
-# results stay byte-identical to a fault-free run, and the queue leaks
-# no slots. A failing schedule writes its replayable fault plan to
-# CHAOS_ARTIFACT_DIR. chaos-long is the full "hundreds of schedules"
-# sweep; CI runs the short form on every push.
+# results stay byte-identical to a fault-free run, the queue leaks no
+# slots, and every job and attempt span starts and ends exactly once.
+# A failing schedule writes its replayable fault plan to
+# CHAOS_ARTIFACT_DIR. It then repeats the fleet test five times: whether
+# the killed node's unit is stolen or expires depends on timing, and
+# each branch must end every attempt span once. chaos-long is the full
+# "hundreds of schedules" sweep; CI runs the short form on every push.
 CHAOS_SCHEDULES ?= 60
 CHAOS_ARTIFACT_DIR ?= chaos-artifacts
 chaos:
 	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
 		$(GO) test -race -count 1 -run 'TestChaos' ./internal/service
+	$(GO) test -race -count=5 -run TestCampaignFleetDeterminism ./internal/worker
 
 chaos-long:
 	CHAOS_SCHEDULES=300 CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \

@@ -259,15 +259,10 @@ func (s *Server) completeCampaign(c *campaign) {
 	perr := s.store.Put(c.parent.res.key, agg)
 	switch {
 	case perr == nil:
-		c.parent.mu.Lock()
-		if !c.parent.status.Terminal() {
-			c.parent.status.State = StateDone
-			c.parent.status.Progress.Done = c.parent.status.Progress.Total
-			c.parent.status.DoneMs = time.Now().UnixMilli()
-			c.parent.broadcastLocked()
-		}
-		c.parent.mu.Unlock()
-		s.settle(c.parent)
+		s.transition(c.parent, live, "done", func(st *JobStatus) {
+			st.State = StateDone
+			st.Progress.Done = st.Progress.Total
+		})
 	case errors.Is(perr, ErrStoreMismatch):
 		s.integrityFail(c.parent, perr)
 	default:
@@ -297,19 +292,13 @@ func (s *Server) failCampaign(c *campaign, blocker JobStatus) {
 	s.releaseChildren(c)
 }
 
-// failParent applies a failed terminal transition to the parent (no-op
-// if it is already terminal) and settles its accounting.
+// failParent fails the parent (no-op if it is already terminal).
 func (s *Server) failParent(c *campaign, msg, reason string) {
-	c.parent.mu.Lock()
-	if !c.parent.status.Terminal() {
-		c.parent.status.State = StateFailed
-		c.parent.status.Error = msg
-		c.parent.status.StopReason = reason
-		c.parent.status.DoneMs = time.Now().UnixMilli()
-		c.parent.broadcastLocked()
-	}
-	c.parent.mu.Unlock()
-	s.settle(c.parent)
+	s.transition(c.parent, live, "failed", func(st *JobStatus) {
+		st.State = StateFailed
+		st.Error = msg
+		st.StopReason = reason
+	})
 }
 
 // releaseChildren drops the campaign's references on its children and

@@ -15,20 +15,23 @@ import (
 	"time"
 
 	"latticesim/internal/faultinject"
+	"latticesim/internal/obs"
 	"latticesim/internal/sweep"
 )
 
 // The chaos harness (DESIGN.md §14): each schedule is a seed-derived
 // faultinject.Plan driven against a fresh server running a fixed
 // workload. Whatever the faults — crashed workers, wedged workers,
-// torn store writes, slow reads, canceled jobs — three invariants must
+// torn store writes, slow reads, canceled jobs — four invariants must
 // hold:
 //
 //  1. every job reaches a terminal state (nothing wedges forever),
 //  2. every completed job's stored bytes are byte-identical to the
-//     fault-free execution (determinism survives recovery), and
+//     fault-free execution (determinism survives recovery),
 //  3. the queue leaks no slots (fresh capacity is fully restored once
-//     the dust settles).
+//     the dust settles), and
+//  4. once the server is closed, every job span and every attempt span
+//     has exactly one start and one end event (DESIGN.md §16).
 //
 // A failing schedule serializes its plan to CHAOS_ARTIFACT_DIR (when
 // set) so it can be replayed exactly. The schedule count is 8 under
@@ -221,7 +224,7 @@ func verifyDoneBytes(t *testing.T, srv *Server, st JobStatus) {
 }
 
 // TestChaosSchedules is the main randomized suite: N seed-derived fault
-// schedules, each against a fresh server, checking the three invariants
+// schedules, each against a fresh server, checking the four invariants
 // above after every run.
 func TestChaosSchedules(t *testing.T) {
 	chaosBaseline(t)
@@ -237,12 +240,14 @@ func TestChaosSchedules(t *testing.T) {
 					saveFailingPlan(t, inj, seed)
 				}
 			}()
+			var spans lockedBuffer
 			srv, err := New(Options{
 				Workers:     3,
 				MCWorkers:   1,
 				Lease:       250 * time.Millisecond,
 				MaxAttempts: 6,
 				Cache:       chaosCache,
+				Spans:       obs.NewSpanWriter(&spans),
 				Hooks: &Hooks{
 					BeforeExec: inj.BeforeExec,
 					StorePut:   inj.StorePut,
@@ -320,6 +325,21 @@ func TestChaosSchedules(t *testing.T) {
 			// the store: integrity checks may run, failures may not.
 			if stats.IntegrityFailures != 0 {
 				t.Errorf("%d integrity failures — determinism broke under faults", stats.IntegrityFailures)
+			}
+
+			// Invariant 4: every job and attempt span starts once and ends
+			// once, whichever transitions ended it.
+			srv.Close()
+			phases := map[string]string{}
+			for _, ev := range spanEvents(t, spans.String()) {
+				if ev.Name == "job" || ev.Name == "attempt" {
+					phases[ev.Span] += " " + ev.Phase
+				}
+			}
+			for span, got := range phases {
+				if got != " start end" {
+					t.Errorf("span %s has events%s, want one start and one end", span, got)
+				}
 			}
 		})
 	}

@@ -441,3 +441,46 @@ func TestClientRetriesQueueFull(t *testing.T) {
 		t.Fatal("retry-less client swallowed the 503")
 	}
 }
+
+// TestCloseFailsJobRequeuedDuringShutdown: an in-process attempt that
+// fails while Close waits for the nodes to stop is requeued without a
+// queue entry, and Close must still fail that job with stop reason
+// "shutdown" rather than leave it queued forever.
+func TestCloseFailsJobRequeuedDuringShutdown(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	srv, err := New(Options{Workers: 1, MCWorkers: 1, Hooks: &Hooks{
+		BeforeExec: func(_ context.Context, _ string, attempt int) {
+			if attempt == 1 {
+				close(started)
+				<-release
+				panic("injected failure during shutdown")
+			}
+		},
+	}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, err := srv.Submit(sweepSpec(700, 64, 9))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	go func() { // fail the attempt only once Close has begun
+		for {
+			srv.mu.Lock()
+			closed := srv.closed
+			srv.mu.Unlock()
+			if closed {
+				close(release)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	srv.Close()
+	got, _ := srv.Job(st.ID)
+	if got.State != StateFailed || got.StopReason != StopReasonShutdown || len(got.Failures) != 1 {
+		t.Fatalf("job %s/%s with %d failures after Close, want failed/shutdown after one failure",
+			got.State, got.StopReason, len(got.Failures))
+	}
+}

@@ -226,8 +226,9 @@ func (s *Server) popGrantLocked(wkr string, now time.Time, cancel context.Cancel
 // the lease and records it, and returns the grant (nil when j is not in
 // the expected state). cancel is the attempt's cancel func: an
 // in-process node's context, nil for a remote node, whose reclamation
-// is the lease expiring. A steal keeps the previous holder's. Caller
-// holds s.mu.
+// is the lease expiring. A steal keeps the previous holder's, and ends
+// the superseded attempt's span — the one state change outside
+// transition, because the job stays running. Caller holds s.mu.
 func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, cancel context.CancelFunc) *LeaseGrant {
 	want := StateQueued
 	if steal {
@@ -238,6 +239,7 @@ func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, canc
 		j.mu.Unlock()
 		return nil
 	}
+	prev, prevStart := j.status, j.attemptStart
 	j.status.State = StateRunning
 	j.status.Attempt++
 	j.status.Progress = Progress{}
@@ -251,6 +253,9 @@ func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, canc
 	j.broadcastLocked()
 	j.mu.Unlock()
 
+	if steal {
+		s.endAttemptSpan(prev, prevStart, "stolen")
+	}
 	s.nextLease++
 	l := &leaseRecord{id: fmt.Sprintf("l%06d", s.nextLease), j: j, att: st.Attempt, wkr: wkr, granted: now}
 	s.leases[l.id] = l
@@ -377,7 +382,9 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		case perr == nil:
 			s.countOutcome(l.wkr, true)
 			s.endLeaseSpan(l, "complete")
-			s.completeJob(j, l.att)
+			s.transition(j, func(j *job) bool {
+				return j.status.Attempt == l.att && !j.status.Terminal()
+			}, "done", func(st *JobStatus) { st.State = StateDone })
 		case errors.Is(perr, ErrStoreMismatch):
 			s.countOutcome(l.wkr, false)
 			s.endLeaseSpan(l, "integrity_error")
@@ -409,7 +416,13 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		}
 		switch u.Reason {
 		case "timeout":
-			s.timeoutJob(j, l.att, now)
+			// Terminal, not retried: the execution is deterministic, so a
+			// rerun would time out again.
+			s.transition(j, attemptRunning(l.att), "timeout", func(st *JobStatus) {
+				st.State = StateFailed
+				st.Error = fmt.Sprintf("attempt %d exceeded its execution timeout", st.Attempt)
+				st.StopReason = StopReasonTimeout
+			})
 		case "panic":
 			s.retryOrFail(j, l.att, "panic", errors.New(msg), now)
 		default:

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -262,6 +263,147 @@ func TestJobSpansAndTraceIDs(t *testing.T) {
 			t.Errorf("span event without the job's trace ID: %s", line)
 		}
 	}
+}
+
+// TestAttemptSpansEndOnce pins the span contract of DESIGN.md §16 on
+// the transitions that can end an attempt out of the ordinary: each
+// scenario leases one unit to a remote node, and the attempt span must
+// end exactly once, with the outcome of the transition that ended it.
+func TestAttemptSpansEndOnce(t *testing.T) {
+	// lease starts a coordinator-only server with a span sink, submits
+	// spec and leases its first unit to a registered node.
+	lease := func(t *testing.T, opts Options, spec JobSpec) (*Server, *lockedBuffer, *LeaseGrant) {
+		t.Helper()
+		sink := &lockedBuffer{}
+		opts.Workers, opts.MCWorkers, opts.Spans = -1, 1, obs.NewSpanWriter(sink)
+		srv, err := New(opts)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(srv.Close)
+		w, err := srv.RegisterWorker("node-a")
+		if err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		if _, err := srv.Submit(spec); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		g, err := srv.LeaseWork(w.ID)
+		if err != nil || g == nil {
+			t.Fatalf("lease = %v, %v; want a grant", g, err)
+		}
+		return srv, sink, g
+	}
+	result := func(t *testing.T, g *LeaseGrant) []byte {
+		t.Helper()
+		data, err := ExecuteSpec(context.Background(), nil, g.Spec, 1, nil)
+		if err != nil {
+			t.Fatalf("ExecuteSpec: %v", err)
+		}
+		return data
+	}
+	ends := func(t *testing.T, sink *lockedBuffer, jobID string, att int, want ...string) {
+		t.Helper()
+		span := attemptSpanID(jobID, att)
+		var got []string
+		for _, ev := range spanEvents(t, sink.String()) {
+			if ev.Name == "attempt" && ev.Span == span && ev.Phase == "end" {
+				got = append(got, ev.Outcome)
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("attempt span %s ended %q, want %q", span, got, want)
+		}
+	}
+
+	t.Run("completion after lease expiry", func(t *testing.T) {
+		srv, sink, g := lease(t, Options{Lease: 100 * time.Millisecond, StealAge: -1}, sweepSpec(1000, 64, 51))
+		deadline := time.Now().Add(5 * time.Second)
+		for st, _ := srv.Job(g.JobID); st.State != StateQueued; st, _ = srv.Job(g.JobID) {
+			if time.Now().After(deadline) {
+				t.Fatalf("lease never expired: job %s", st.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		// Not yet re-granted, so the late completion is accepted.
+		if ack, err := srv.UpdateLease(g.LeaseID, LeaseUpdate{Event: "complete", Result: result(t, g)}); err != nil || !ack.Valid {
+			t.Fatalf("late completion ack = %+v, %v; want valid", ack, err)
+		}
+		if st, _ := srv.Job(g.JobID); st.State != StateDone {
+			t.Fatalf("job %s after the late completion, want done", st.State)
+		}
+		ends(t, sink, g.JobID, 1, "lease_expired")
+	})
+
+	t.Run("conflicting completion", func(t *testing.T) {
+		srv, sink, g := lease(t, Options{StealAge: -1}, sweepSpec(1000, 64, 52))
+		data := result(t, g)
+		if err := srv.Store().Put(g.Key, data); err != nil {
+			t.Fatalf("planting result: %v", err)
+		}
+		corrupt := append(bytes.Clone(data), "tampered"...)
+		if _, err := srv.UpdateLease(g.LeaseID, LeaseUpdate{Event: "complete", Result: corrupt}); err != nil {
+			t.Fatalf("UpdateLease: %v", err)
+		}
+		if st, _ := srv.Job(g.JobID); st.State != StateIntegrityError {
+			t.Fatalf("job %s, want %s", st.State, StateIntegrityError)
+		}
+		ends(t, sink, g.JobID, 1, "integrity_error")
+	})
+
+	t.Run("close with a remote lease", func(t *testing.T) {
+		srv, sink, g := lease(t, Options{StealAge: -1}, sweepSpec(1000, 64, 53))
+		srv.Close()
+		if st, _ := srv.Job(g.JobID); st.State != StateFailed || st.StopReason != StopReasonShutdown {
+			t.Fatalf("job %s/%s after Close, want failed/shutdown", st.State, st.StopReason)
+		}
+		ends(t, sink, g.JobID, 1, "shutdown")
+	})
+
+	t.Run("steal", func(t *testing.T) {
+		srv, sink, g := lease(t, Options{Lease: 10 * time.Second, StealAge: 20 * time.Millisecond},
+			JobSpec{Type: "campaign", Campaign: &CampaignJob{Policies: "Passive", TausNs: "1000", Shots: 64, Seed: 54}})
+		b, err := srv.RegisterWorker("node-b")
+		if err != nil {
+			t.Fatalf("register b: %v", err)
+		}
+		var steal *LeaseGrant
+		deadline := time.Now().Add(5 * time.Second)
+		for steal == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("the idle node never stole the straggling batch")
+			}
+			time.Sleep(10 * time.Millisecond)
+			if steal, err = srv.LeaseWork(b.ID); err != nil {
+				t.Fatalf("lease to b: %v", err)
+			}
+		}
+		if !steal.Stolen || steal.JobID != g.JobID || steal.Attempt != 2 {
+			t.Fatalf("b's grant = %+v, want a steal of %s as attempt 2", steal, g.JobID)
+		}
+		if ack, err := srv.UpdateLease(steal.LeaseID, LeaseUpdate{Event: "complete", Result: result(t, steal)}); err != nil || !ack.Valid {
+			t.Fatalf("b's completion ack = %+v, %v; want valid", ack, err)
+		}
+		ends(t, sink, g.JobID, 1, "stolen")
+		ends(t, sink, g.JobID, 2, "done")
+	})
+}
+
+// spanEvents decodes an NDJSON span stream.
+func spanEvents(t *testing.T, text string) []obs.SpanEvent {
+	t.Helper()
+	var out []obs.SpanEvent
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if line == "" {
+			continue
+		}
+		var ev obs.SpanEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad span line %q: %v", line, err)
+		}
+		out = append(out, ev)
+	}
+	return out
 }
 
 // TestSubmitTracePropagation checks a client-supplied trace ID is

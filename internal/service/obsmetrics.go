@@ -216,7 +216,7 @@ func (s *Server) startJobSpan(j *job) {
 	ev := obs.SpanEvent{Trace: st.TraceID, Span: st.ID, Name: spanKind(j), Job: st.ID}
 	s.spans.Start(ev)
 	if st.Terminal() {
-		s.spans.End(ev, time.Time{}, spanOutcome(st))
+		s.spans.End(ev, time.Time{}, st.State)
 	}
 }
 
@@ -231,7 +231,7 @@ func (s *Server) endJobSpan(st JobStatus, kind string) {
 		ev.DurMs = st.DoneMs - st.QueuedMs
 	}
 	ev.Phase = "end"
-	ev.Outcome = spanOutcome(st)
+	ev.Outcome = st.State
 	s.spans.Emit(ev)
 }
 
@@ -251,14 +251,15 @@ func (s *Server) startAttemptSpan(st JobStatus) {
 	})
 }
 
-// endAttemptSpan emits an attempt's end event with its wall duration.
-func (s *Server) endAttemptSpan(st JobStatus, att int, start time.Time, outcome string) {
+// endAttemptSpan emits the end event of st's attempt with its wall
+// duration since start.
+func (s *Server) endAttemptSpan(st JobStatus, start time.Time, outcome string) {
 	if s.spans == nil {
 		return
 	}
 	s.spans.End(obs.SpanEvent{
-		Trace: st.TraceID, Span: attemptSpanID(st.ID, att), Parent: st.ID,
-		Name: "attempt", Job: st.ID, Attempt: att, Worker: st.Worker,
+		Trace: st.TraceID, Span: attemptSpanID(st.ID, st.Attempt), Parent: st.ID,
+		Name: "attempt", Job: st.ID, Attempt: st.Attempt, Worker: st.Worker,
 	}, start, outcome)
 }
 
@@ -303,19 +304,4 @@ func (s *Server) endLeaseSpans(j *job, att int, outcome string) {
 	for _, l := range ls {
 		s.endLeaseSpan(l, outcome)
 	}
-}
-
-// spanOutcome maps a terminal JobStatus to its span outcome label.
-func spanOutcome(st JobStatus) string {
-	switch st.State {
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCanceled:
-		return "canceled"
-	case StateIntegrityError:
-		return "integrity_error"
-	}
-	return st.State
 }

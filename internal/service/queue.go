@@ -207,14 +207,6 @@ func (j *job) broadcastLocked() {
 	j.changed = make(chan struct{})
 }
 
-// update mutates the status under the lock and wakes every watcher.
-func (j *job) update(fn func(*JobStatus)) {
-	j.mu.Lock()
-	fn(&j.status)
-	j.broadcastLocked()
-	j.mu.Unlock()
-}
-
 // watch streams status snapshots to fn (nil is allowed) until the job
 // reaches a terminal state or the context ends, and returns the last
 // snapshot seen. Every state change is observed; intermediate progress
@@ -387,13 +379,17 @@ func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, 
 		return JobStatus{}, ErrClosed
 	}
 	// Dedup order matters and must happen under the server lock: a live
-	// job covers the key until the terminal transition removes it (which
-	// happens only after the result is stored), so checking in-flight
-	// first and the store second leaves no window in which a finishing
-	// job's resubmission could re-queue and recompute. Blobs are small,
-	// so a store read under the lock is cheap.
+	// job covers the key until its terminal transition (which happens
+	// only after the result is stored), so checking in-flight first and
+	// the store second leaves no window in which a finishing job's
+	// resubmission could re-queue and recompute. A finished job whose
+	// slot settle has not freed yet defers to the store, as it will once
+	// settle has run. Blobs are small, so a store read under the lock is
+	// cheap.
 	if live, exists := s.inflight[r.key]; exists {
-		return live.snapshot(), nil
+		if st := live.snapshot(); !st.Terminal() {
+			return st, nil
+		}
 	}
 	if _, ok, err := s.store.Get(r.key); err != nil {
 		return JobStatus{}, err
@@ -562,30 +558,13 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 // the monitor goroutine observes the parent's transition and cancels
 // every child no other live campaign still references.
 func (s *Server) cancelJob(j *job) JobStatus {
-	j.mu.Lock()
-	if j.status.Terminal() {
-		st := j.status
-		j.mu.Unlock()
-		return st
+	st, ok := s.transition(j, live, "canceled", func(st *JobStatus) {
+		st.State = StateCanceled
+		st.StopReason = StopReasonCanceled
+	})
+	if ok {
+		s.met.cancels.Inc()
 	}
-	cancel := j.cancel
-	wasRunning := j.status.State == StateRunning
-	att := j.status.Attempt
-	astart := j.attemptStart
-	j.status.State = StateCanceled
-	j.status.StopReason = StopReasonCanceled
-	j.status.DoneMs = time.Now().UnixMilli()
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.met.cancels.Inc()
-	if wasRunning {
-		s.endAttemptSpan(st, att, astart, "canceled")
-	}
-	s.settle(j)
 	return st
 }
 
@@ -716,49 +695,27 @@ func (s *Server) Close() {
 	close(s.quit)
 	s.wg.Wait()
 	// The in-process nodes and the watchdog are gone; whatever is left
-	// pending never (re)started.
+	// queued never (re)started. Queued jobs fail before running ones, and
+	// come from the registry, not the pending queue: an attempt that
+	// failed while the nodes stopped was requeued without a queue entry.
 	s.mu.Lock()
-	pending := s.pending
 	s.pending = nil
-	var running []*job
+	var queued, running []*job
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.snapshot().State == StateRunning {
+		switch j := s.jobs[id]; j.snapshot().State {
+		case StateQueued:
+			queued = append(queued, j)
+		case StateRunning:
 			running = append(running, j)
 		}
 	}
 	s.mu.Unlock()
-	now := time.Now().UnixMilli()
-	for _, j := range pending {
-		j.mu.Lock()
-		if j.status.State == StateQueued {
-			j.status.State = StateFailed
-			j.status.Error = ErrClosed.Error()
-			j.status.StopReason = StopReasonShutdown
-			j.status.DoneMs = now
-			j.broadcastLocked()
-		}
-		j.mu.Unlock()
-		s.settle(j)
-	}
-	for _, j := range running {
-		j.mu.Lock()
-		if j.status.State == StateRunning {
-			cancel := j.cancel
-			j.cancel = nil
-			j.status.State = StateFailed
-			j.status.Error = ErrClosed.Error()
-			j.status.StopReason = StopReasonShutdown
-			j.status.DoneMs = now
-			j.broadcastLocked()
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel()
-			}
-		} else {
-			j.mu.Unlock()
-		}
-		s.settle(j)
+	for _, j := range append(queued, running...) {
+		s.transition(j, live, "shutdown", func(st *JobStatus) {
+			st.State = StateFailed
+			st.Error = ErrClosed.Error()
+			st.StopReason = StopReasonShutdown
+		})
 	}
 	s.cwg.Wait()
 }
@@ -820,54 +777,97 @@ func (s *Server) reapExpired(now time.Time) {
 	}
 }
 
-// expireAttempt declares the job's current attempt dead: the failure is
-// recorded, the attempt's context canceled, and the job requeued (or
-// failed terminally when MaxAttempts is spent). The zombie executor, if
-// it ever finishes, is fenced off by the attempt token.
+// expireAttempt declares the job's current attempt dead if its lease
+// has passed: the failure is recorded, the attempt's context canceled,
+// and the job requeued (or failed terminally when MaxAttempts is
+// spent). The zombie executor, if it ever finishes, is fenced off by
+// the attempt token.
 func (s *Server) expireAttempt(j *job, now time.Time) {
-	j.mu.Lock()
-	if j.status.State != StateRunning || now.Before(j.lease) {
-		j.mu.Unlock()
+	st, ok := s.transition(j, func(j *job) bool {
+		return j.status.State == StateRunning && !now.Before(j.lease)
+	}, "lease_expired", s.failAttempt(AttemptFailure{Reason: "lease_expired", AtMs: now.UnixMilli()},
+		" missed its heartbeat lease"))
+	if !ok {
 		return
 	}
-	att := j.status.Attempt
+	s.met.leaseExpiries.Inc()
+	s.log.Warn("lease_expired", "job", st.ID, "attempt", st.Attempt, "worker", st.Worker,
+		"failures", len(st.Failures), "terminal", st.Terminal())
+	s.endLeaseSpans(j, st.Attempt, "expired")
+}
+
+// failAttempt is the edit of a failed attempt, by lease expiry or by a
+// worker's failure report: f is recorded with the attempt and worker
+// filled in, and the job is requeued, or failed once MaxAttempts
+// failures are spent; what completes the error message. Failures, not
+// attempts, exhaust the retry budget: a work-steal mints a fresh
+// attempt token without consuming it, so a stolen job still gets its
+// full MaxAttempts of real failures.
+func (s *Server) failAttempt(f AttemptFailure, what string) func(*JobStatus) {
+	return func(st *JobStatus) {
+		f.Attempt, f.Worker = st.Attempt, st.Worker
+		st.Failures = append(st.Failures, f)
+		if n := len(st.Failures); n < s.opts.MaxAttempts {
+			st.State = StateQueued
+		} else {
+			st.State = StateFailed
+			st.Error = fmt.Sprintf("attempt %d (failure %d/%d)%s", f.Attempt, n, s.opts.MaxAttempts, what)
+			st.StopReason = StopReasonMaxAttempts
+		}
+	}
+}
+
+// Fences for transition: live admits any job not yet terminal, always
+// admits every job, and attemptRunning admits the job while attempt att
+// is running it.
+func live(j *job) bool { return !j.status.Terminal() }
+func always(*job) bool { return true }
+func attemptRunning(att int) func(*job) bool {
+	return func(j *job) bool { return j.status.Attempt == att && j.status.State == StateRunning }
+}
+
+// transition is the one state change of a registered job after its
+// grant. Under j.mu it refuses unless admit does, takes the ending
+// attempt's cancel func, applies edit, resets Progress if the job is
+// queued again or else stamps DoneMs (once: an integrity failure keeps
+// a done job's), ends the attempt's span with outcome if the job was
+// running one — campaign parents and queued jobs have none — and wakes
+// every watcher. Then it stops the ended attempt's context and requeues
+// or settles the job. It returns the resulting status and whether admit
+// allowed the change. It takes s.mu, so callers must not hold it.
+func (s *Server) transition(j *job, admit func(*job) bool, outcome string, edit func(*JobStatus)) (JobStatus, bool) {
+	j.mu.Lock()
+	if !admit(j) {
+		st := j.status
+		j.mu.Unlock()
+		return st, false
+	}
+	ended := j.status.State == StateRunning && j.status.Attempt > 0
 	cancel := j.cancel
 	j.cancel = nil
-	astart := j.attemptStart
-	j.status.Failures = append(j.status.Failures, AttemptFailure{
-		Attempt: att, Reason: "lease_expired", AtMs: now.UnixMilli(),
-		Worker: j.status.Worker,
-	})
-	// Failures, not attempts, exhaust the retry budget: a work-steal
-	// mints a fresh attempt token without consuming it, so a stolen job
-	// still gets its full MaxAttempts of real failures.
-	terminal := len(j.status.Failures) >= s.opts.MaxAttempts
-	if terminal {
-		j.status.State = StateFailed
-		j.status.Error = fmt.Sprintf("attempt %d (failure %d/%d) missed its heartbeat lease",
-			att, len(j.status.Failures), s.opts.MaxAttempts)
-		j.status.StopReason = StopReasonMaxAttempts
-		j.status.DoneMs = now.UnixMilli()
-	} else {
-		j.status.State = StateQueued
+	edit(&j.status)
+	if j.status.State == StateQueued {
 		j.status.Progress = Progress{}
+	} else if j.status.DoneMs == 0 {
+		j.status.DoneMs = time.Now().UnixMilli()
 	}
 	st := j.status
+	if ended {
+		// Before the new state is visible, so whoever observes it finds
+		// the attempt span already ended.
+		s.endAttemptSpan(st, j.attemptStart, outcome)
+	}
 	j.broadcastLocked()
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	s.met.leaseExpiries.Inc()
-	s.log.Warn("lease_expired", "job", st.ID, "attempt", att, "worker", st.Worker,
-		"failures", len(st.Failures), "terminal", terminal)
-	s.endAttemptSpan(st, att, astart, "lease_expired")
-	s.endLeaseSpans(j, att, "expired")
-	if terminal {
+	if st.State == StateQueued {
+		s.requeue(j)
+	} else {
 		s.settle(j)
-		return
 	}
-	s.requeue(j)
+	return st, true
 }
 
 // requeue puts an already-accepted job back on the pending queue,
@@ -881,8 +881,9 @@ func (s *Server) requeue(j *job) {
 		s.pending = append(s.pending, j)
 		s.cond.Signal()
 	}
-	// Shutting down: the requeue would never be drained, but it still
-	// counts — the job's recovery was attempted.
+	// Shutting down: the requeue would never be drained (Close fails
+	// the job instead), but it still counts — the job's recovery was
+	// attempted.
 	s.mu.Unlock()
 }
 
@@ -953,80 +954,13 @@ func (s *Server) touch(j *job, att int, p Progress) {
 	}
 }
 
-// completeJob marks attempt att's job done (no-op if superseded).
-func (s *Server) completeJob(j *job, att int) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.State = StateDone
-	j.status.DoneMs = time.Now().UnixMilli()
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, "done")
-	s.settle(j)
-}
-
-// timeoutJob ends a job whose attempt exceeded its wall-time bound.
-// Timeouts are terminal rather than retried: the execution is
-// deterministic, so a rerun would time out again.
-func (s *Server) timeoutJob(j *job, att int, now time.Time) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.State != StateRunning {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.State = StateFailed
-	j.status.Error = fmt.Sprintf("attempt %d exceeded its execution timeout", att)
-	j.status.StopReason = StopReasonTimeout
-	j.status.DoneMs = now.UnixMilli()
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, "timeout")
-	s.settle(j)
-}
-
-// retryOrFail records a failed attempt and either requeues the job or,
-// with MaxAttempts spent, fails it terminally with the full history.
+// retryOrFail records attempt att's failure and either requeues the
+// job or, with MaxAttempts spent, fails it terminally with the full
+// history (no-op if superseded).
 func (s *Server) retryOrFail(j *job, att int, reason string, err error, now time.Time) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.State != StateRunning {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.Failures = append(j.status.Failures, AttemptFailure{
-		Attempt: att, Reason: reason, Error: err.Error(), AtMs: now.UnixMilli(),
-		Worker: j.status.Worker,
-	})
-	terminal := len(j.status.Failures) >= s.opts.MaxAttempts
-	if terminal {
-		j.status.State = StateFailed
-		j.status.Error = fmt.Sprintf("attempt %d (failure %d/%d): %s: %v",
-			att, len(j.status.Failures), s.opts.MaxAttempts, reason, err)
-		j.status.StopReason = StopReasonMaxAttempts
-		j.status.DoneMs = now.UnixMilli()
-	} else {
-		j.status.State = StateQueued
-		j.status.Progress = Progress{}
-	}
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, reason)
-	if terminal {
-		s.settle(j)
-		return
-	}
-	s.requeue(j)
+	s.transition(j, attemptRunning(att), reason, s.failAttempt(
+		AttemptFailure{Reason: reason, Error: err.Error(), AtMs: now.UnixMilli()},
+		fmt.Sprintf(": %s: %v", reason, err)))
 }
 
 // integrityCheck byte-compares a late completion's result against the
@@ -1046,24 +980,13 @@ func (s *Server) integrityCheck(j *job, data []byte, worker string) {
 // integrityFail marks the job integrity_error (overriding done — the
 // result's provenance is compromised either way) and counts the event.
 func (s *Server) integrityFail(j *job, err error) {
-	j.mu.Lock()
-	cancel := j.cancel
-	j.cancel = nil
-	j.status.State = StateIntegrityError
-	j.status.Error = err.Error()
-	j.status.StopReason = StopReasonIntegrity
-	if j.status.DoneMs == 0 {
-		j.status.DoneMs = time.Now().UnixMilli()
-	}
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	st, _ := s.transition(j, always, "integrity_error", func(st *JobStatus) {
+		st.State = StateIntegrityError
+		st.Error = err.Error()
+		st.StopReason = StopReasonIntegrity
+	})
 	s.met.integrityFails.Inc()
 	s.log.Error("integrity_failure", "job", st.ID, "error", st.Error)
-	s.settle(j)
 }
 
 // SpecError marks a submission rejected for a malformed or invalid

@@ -339,6 +339,47 @@ func TestInFlightCoalescing(t *testing.T) {
 	}
 }
 
+// TestResubmitInSettleWindow freezes the moment between a job's
+// terminal transition and settle freeing its in-flight slot: a
+// resubmission then defers to the store — a fresh job when nothing is
+// stored, a cache hit when the result is — instead of coalescing onto
+// the finished job, and the finished job's settle leaves the fresh
+// job's slot alone.
+func TestResubmitInSettleWindow(t *testing.T) {
+	srv, _ := newTestServer(t, Options{Workers: -1})
+	spec := sweepSpec(1000, 64, 61)
+	finish := func(id string) *job { // terminal, slot not yet freed
+		srv.mu.Lock()
+		j := srv.jobs[id]
+		srv.mu.Unlock()
+		j.mu.Lock()
+		j.status.State = StateFailed
+		j.mu.Unlock()
+		return j
+	}
+	first, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	old := finish(first.ID)
+	fresh, err := srv.Submit(spec)
+	if err != nil || fresh.ID == first.ID || fresh.State != StateQueued {
+		t.Fatalf("resubmission = %s %s (%v), want a fresh queued job, not %s", fresh.ID, fresh.State, err, first.ID)
+	}
+	srv.settle(old)
+	if again, _ := srv.Submit(spec); again.ID != fresh.ID {
+		t.Fatalf("settling %s freed the slot of %s: resubmission got %s", first.ID, fresh.ID, again.ID)
+	}
+
+	finish(fresh.ID)
+	if err := srv.Store().Put(fresh.Key, []byte("stored bytes\n")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if hit, _ := srv.Submit(spec); !hit.CacheHit {
+		t.Fatalf("resubmission = %s (cache hit %v), want a cache hit", hit.ID, hit.CacheHit)
+	}
+}
+
 // TestPersistenceAcrossRestart closes a server and reopens one on the
 // same data dir: the resubmitted job must be a cache hit with identical
 // bytes, served by a process that never computed it.

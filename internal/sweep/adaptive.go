@@ -180,7 +180,7 @@ func (a AdaptiveConfig) nextCheckpoint(c int) int {
 // pointRunner is one point's execution state inside the allocator.
 type pointRunner struct {
 	pt    Point
-	index int // canonical grid position, the scheduler tie-break
+	index int // 0-based canonical grid position
 	rec   Record
 	// pl is a shallow copy of the cached pipeline with this campaign's
 	// worker count; nil for infeasible points.
@@ -284,21 +284,7 @@ func (r *pointRunner) finalize() Record {
 // newPointRunner resolves one point and prepares its execution state
 // (infeasible points come back already stopped).
 func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config, acfg AdaptiveConfig) (*pointRunner, error) {
-	r := &pointRunner{pt: pt, index: index, started: time.Now()}
-	r.rec = Record{
-		Key:           pt.Key(),
-		Policy:        pt.Policy.String(),
-		D:             pt.D,
-		TauNs:         pt.TauNs,
-		P:             pt.P,
-		Basis:         pt.Basis.String(),
-		Hardware:      pt.HW.Name,
-		CyclePNs:      pt.CyclePNs,
-		CyclePPrimeNs: pt.CyclePPrimeNs,
-		EpsNs:         pt.EpsNs,
-		Seed:          pt.Seed(cfg.Seed),
-		Shots:         cfg.Shots,
-	}
+	r := &pointRunner{pt: pt, index: index, rec: newRecord(pt, cfg), started: time.Now()}
 	spec, plan, ok := pt.Resolve()
 	r.rec.Feasible = ok
 	if !ok {
@@ -400,16 +386,12 @@ func allocate(runners []*pointRunner, budget int, cfg Config, acfg AdaptiveConfi
 
 // runAdaptive is Campaign.Run's adaptive mode: resolve every
 // non-journaled point, pool the budget, allocate, then emit the records
-// in canonical order through the usual sink → sync → manifest → progress
-// sequence. Buffering until allocation finishes is what lets the pool
-// flow across points while the output stays in canonical order.
+// in canonical order as Run does. Buffering until allocation finishes
+// is what lets the pool flow across points while the output stays in
+// canonical order.
 func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cache *BuildCache) (Summary, error) {
 	sum := Summary{Points: len(pts)}
-	type slot struct {
-		position int // 1-based grid position for Progress
-		runner   *pointRunner
-	}
-	var slots []slot
+	var runners []*pointRunner
 	feasible := 0
 	for i, pt := range pts {
 		if c.Manifest != nil && c.Manifest.Done(pt.Key()) {
@@ -423,11 +405,7 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 		if r.rec.Feasible {
 			feasible++
 		}
-		slots = append(slots, slot{position: i + 1, runner: r})
-	}
-	runners := make([]*pointRunner, len(slots))
-	for i, s := range slots {
-		runners[i] = s.runner
+		runners = append(runners, r)
 	}
 	allocate(runners, cfg.Shots*feasible, cfg, acfg)
 	if err := ctxErr(cfg.Ctx); err != nil {
@@ -435,32 +413,9 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 		// is emitted or journaled.
 		return sum, err
 	}
-	for _, s := range slots {
-		rec := s.runner.finalize()
-		key := rec.Key
-		sum.Executed++
-		if !rec.Feasible {
-			sum.Infeasible++
-		}
-		for _, sink := range c.Sinks {
-			if err := sink.Write(rec); err != nil {
-				return sum, fmt.Errorf("sweep: writing record for %s: %w", key, err)
-			}
-		}
-		if c.Manifest != nil {
-			for _, sink := range c.Sinks {
-				if sy, ok := sink.(Syncer); ok {
-					if err := sy.Sync(); err != nil {
-						return sum, fmt.Errorf("sweep: syncing record for %s: %w", key, err)
-					}
-				}
-			}
-			if err := c.Manifest.MarkDone(key); err != nil {
-				return sum, fmt.Errorf("sweep: manifest update for %s: %w", key, err)
-			}
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(s.position, len(pts), rec)
+	for _, r := range runners {
+		if err := c.emit(&sum, r.finalize(), r.index+1, len(pts)); err != nil {
+			return sum, err
 		}
 	}
 	return sum, nil

@@ -158,38 +158,49 @@ func (c *Campaign) Run() (Summary, error) {
 		if err != nil {
 			return sum, fmt.Errorf("sweep: point %s: %w", key, err)
 		}
-		sum.Executed++
-		if !rec.Feasible {
-			sum.Infeasible++
-		}
-		for _, sink := range c.Sinks {
-			if err := sink.Write(rec); err != nil {
-				return sum, fmt.Errorf("sweep: writing record for %s: %w", key, err)
-			}
-		}
-		if c.Manifest != nil {
-			// Make every sink durable before journaling the key: the
-			// manifest must never durably claim a point whose record could
-			// still be lost in the page cache.
-			for _, sink := range c.Sinks {
-				if s, ok := sink.(Syncer); ok {
-					if err := s.Sync(); err != nil {
-						return sum, fmt.Errorf("sweep: syncing record for %s: %w", key, err)
-					}
-				}
-			}
-			if err := c.Manifest.MarkDone(key); err != nil {
-				return sum, fmt.Errorf("sweep: manifest update for %s: %w", key, err)
-			}
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, len(pts), rec)
+		if err := c.emit(&sum, rec, i+1, len(pts)); err != nil {
+			return sum, err
 		}
 	}
 	hits1, misses1 := cache.Stats()
 	sum.CacheHits = hits1 - hits0
 	sum.CacheMisses = misses1 - misses0
 	return sum, nil
+}
+
+// emit hands one executed record on, the same way for fixed and
+// adaptive campaigns: count it, write it to every sink, journal its key
+// when the campaign is resumable, then report progress with its
+// 1-based grid position.
+func (c *Campaign) emit(sum *Summary, rec Record, position, total int) error {
+	sum.Executed++
+	if !rec.Feasible {
+		sum.Infeasible++
+	}
+	for _, sink := range c.Sinks {
+		if err := sink.Write(rec); err != nil {
+			return fmt.Errorf("sweep: writing record for %s: %w", rec.Key, err)
+		}
+	}
+	if c.Manifest != nil {
+		// Make every sink durable before journaling the key: the
+		// manifest must never durably claim a point whose record could
+		// still be lost in the page cache.
+		for _, sink := range c.Sinks {
+			if s, ok := sink.(Syncer); ok {
+				if err := s.Sync(); err != nil {
+					return fmt.Errorf("sweep: syncing record for %s: %w", rec.Key, err)
+				}
+			}
+		}
+		if err := c.Manifest.MarkDone(rec.Key); err != nil {
+			return fmt.Errorf("sweep: manifest update for %s: %w", rec.Key, err)
+		}
+	}
+	if c.Config.Progress != nil {
+		c.Config.Progress(position, total, rec)
+	}
+	return nil
 }
 
 // ExecutePoint executes one point: resolve the policy plan, fetch (or
@@ -204,20 +215,7 @@ func ExecutePoint(cache *BuildCache, pt Point, cfg Config) (Record, error) {
 		return executeAdaptivePoint(cache, pt, cfg, cfg.Adaptive.WithDefaults())
 	}
 	start := time.Now()
-	rec := Record{
-		Key:           pt.Key(),
-		Policy:        pt.Policy.String(),
-		D:             pt.D,
-		TauNs:         pt.TauNs,
-		P:             pt.P,
-		Basis:         pt.Basis.String(),
-		Hardware:      pt.HW.Name,
-		CyclePNs:      pt.CyclePNs,
-		CyclePPrimeNs: pt.CyclePPrimeNs,
-		EpsNs:         pt.EpsNs,
-		Seed:          pt.Seed(cfg.Seed),
-		Shots:         cfg.Shots,
-	}
+	rec := newRecord(pt, cfg)
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return rec, err
 	}
@@ -254,6 +252,25 @@ func ExecutePoint(cache *BuildCache, pt Point, cfg Config) (Record, error) {
 	}
 	rec.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return rec, nil
+}
+
+// newRecord is a point's record before execution: its coordinates, its
+// derived seed and the configured shot budget.
+func newRecord(pt Point, cfg Config) Record {
+	return Record{
+		Key:           pt.Key(),
+		Policy:        pt.Policy.String(),
+		D:             pt.D,
+		TauNs:         pt.TauNs,
+		P:             pt.P,
+		Basis:         pt.Basis.String(),
+		Hardware:      pt.HW.Name,
+		CyclePNs:      pt.CyclePNs,
+		CyclePPrimeNs: pt.CyclePPrimeNs,
+		EpsNs:         pt.EpsNs,
+		Seed:          pt.Seed(cfg.Seed),
+		Shots:         cfg.Shots,
+	}
 }
 
 // Collect runs the grid in memory and returns its records in canonical

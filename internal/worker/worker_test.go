@@ -74,7 +74,9 @@ type fleetScenario struct {
 // service.WorkerLocal or a registered node, and in-process nodes take
 // leases exactly when the fleet has them. Attribution is read from the
 // lease spans, because a batch's final Worker is whichever attempt won
-// it, and a remote node may steal an in-process node's straggler.
+// it, and a remote node may steal an in-process node's straggler. After
+// the nodes stop and the server closes, every attempt span must have
+// exactly one start and one end.
 func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 	t.Helper()
 	var spans lockedBuffer
@@ -209,6 +211,20 @@ func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 
 	cancel()
 	wg.Wait()
+	// Every attempt span starts once and ends once — a stolen
+	// straggler's included — once Close has ended what is still live.
+	srv.Close()
+	phases := map[string]string{}
+	for _, ev := range parseSpans(t, spans.String()) {
+		if ev.Name == "attempt" {
+			phases[ev.Span] += " " + ev.Phase
+		}
+	}
+	for span, got := range phases {
+		if got != " start end" {
+			t.Fatalf("attempt span %s has events%s, want one start and one end", span, got)
+		}
+	}
 	return data
 }
 
