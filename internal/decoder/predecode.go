@@ -136,14 +136,7 @@ func (d *UnionFind) decodeTouch(defects []int, closure []int32) (uint64, []int32
 	if len(defects) == 0 {
 		return 0, closure
 	}
-	for _, n := range defects {
-		nn := int32(n)
-		d.initNode(nn)
-		d.defect[nn] = true
-		d.parity[d.find(nn)] ^= 1
-	}
-	d.grow(defects)
-	obs := d.peel()
+	obs := d.run(defects)
 	closure = append(closure, d.touched...)
 	for _, ei := range d.tEdges {
 		e := d.g.Edges[ei]

@@ -12,61 +12,57 @@ import (
 // concurrent use; create one per goroutine.
 //
 // All per-shot working state lives in scratch retained across Decode
-// calls: frontier lists occupy one flat arena (spans per cluster root,
-// concatenated on fusion with the exact semantics of slice appends), and
-// the peeling stage runs on stamped arrays instead of maps. In steady
-// state — once the scratch has grown to the workload's high-water mark —
-// Decode performs no heap allocations (see TestUnionFindDecodeAllocFree).
+// calls (DESIGN.md §9): flat cluster labels relabelled on fusion through
+// per-cluster member lists, frontier lists in one flat arena, an active
+// list carried from sweep to sweep, a per-edge sweep stamp for the
+// fast-forward jump, and intrusive per-node lists for the peel. In
+// steady state — once the scratch has grown to the workload's
+// high-water mark — Decode performs no heap allocations (see
+// TestUnionFindDecodeAllocFree).
 type UnionFind struct {
 	g *Graph
 
 	// es packs every per-edge field the grow inner loop touches — scaled
-	// integer weight, accumulated growth, last-sweep increment (the
-	// fast-forward bookkeeping) and the done flag — into one 16-byte
-	// struct, so a frontier-entry visit costs one cache line instead of
-	// four scattered array reads.
+	// integer weight, accumulated growth and the last sweep that grew
+	// the edge — into one struct, so a frontier-entry visit costs one
+	// cache line instead of three scattered array reads. An edge is
+	// fully grown exactly when grown >= w.
 	es []edgeState
 
-	parent   []int32
-	size     []int32
-	parity   []uint8 // per root: defect parity
-	boundary []bool  // per root: cluster contains a virtual boundary node
+	// adj packs every node's incident (edge index << 32 | far endpoint)
+	// entries into one block; node n's are adj[adjOff[n]:adjOff[n+1]].
+	// A frontier entry's origin node stays inside its cluster forever
+	// (clusters only merge), so the far endpoint alone decides
+	// incidence, and the grow inner loop never loads an Edge.
+	adj    []int64
+	adjOff []int32
 
-	// Frontier lists live in one flat arena: frSpan[n] addresses node n's
-	// block inside frArena. Entries are packed (edge index << 32 | far
-	// endpoint), precomputed per node in adjPacked: a frontier entry's
-	// origin node stays inside its cluster forever (clusters only merge),
-	// so the far endpoint alone decides incidence — one find per entry
-	// instead of two, and no Edge load in the grow inner loop. The arena
-	// is bump-allocated per decode and truncated on reset, so its
-	// capacity is reused across shots.
-	frSpan    []span
-	frArena   []int64
-	adjPacked [][]int64
+	// root is each node's cluster label — the cluster's root node — and
+	// -1 outside the working set. next threads each cluster's members
+	// into a list headed by its root; a fusion relabels the smaller
+	// cluster's members and splices its list into the larger one's, so
+	// a label lookup is one load.
+	root []int32
+	next []int32
+	cl   []cluster // per root
 
-	inited  []bool
 	defect  []bool
-	touched []int32 // nodes whose state must be reset
-	tEdges  []int32 // edges whose growth must be reset
+	touched []int32 // nodes in the working set, in order of arrival
+	tEdges  []int32 // edges with nonzero growth, in order of first growth
 
-	stamp    []int32 // dedup stamps for active-root collection
-	stampGen int32
+	// frArena holds every cluster's frontier block (cluster.fr). It is
+	// bump-allocated per decode and truncated on reset, so its capacity
+	// is reused across shots.
+	frArena []int64
 
-	active []int32 // grow scratch: odd, boundaryless roots this sweep
+	active []int32 // odd, boundaryless roots, by first defect
+	sweep  int32   // current sweep stamp (edgeState.sweep)
 
-	// Fast-forward scratch: edges whose delta field is nonzero after the
-	// last sweep (see grow).
-	deltaTouched []int32
-
-	// Peeling scratch: per-node incident fully-grown edges plus BFS
-	// buffers, all stamped or truncate-reset so nothing reallocates in
-	// steady state.
-	peelAdj   [][]int32
-	peelNodes []int32
-	comp      []int32
-	order     []peelStep
-	seen      []int32
-	seenGen   int32
+	// Peel scratch: head[n] starts node n's list of fully grown edges
+	// inside links; order is the BFS of one cluster's tree.
+	head  []int32
+	links []peelLink
+	order []peelStep
 }
 
 // span addresses one frontier block inside the arena: elements
@@ -76,18 +72,32 @@ type span struct {
 }
 
 // edgeState is the per-edge working state of weighted growth: w is the
-// scaled integer weight (>=1), grown the accumulated growth units,
-// delta the increment observed in the last sweep (fast-forward
-// bookkeeping), done whether the edge is fully grown.
+// scaled integer weight (>=1), grown the accumulated growth units, and
+// sweep the stamp of the last sweep that grew the edge, which tells a
+// second growth in the same sweep (both sides growing) from a first.
 type edgeState struct {
 	w     int32
 	grown int32
-	delta int32
-	done  bool
+	sweep int32
 }
 
-// peelStep is one BFS spanning-tree entry: node plus the edge and node it
-// was discovered through.
+// cluster is the state of one cluster, stored at its root.
+type cluster struct {
+	fr       span  // frontier block in frArena
+	size     int32 // member count
+	first    int32 // position in the defect list of its first defect
+	peelRoot int32 // lowest boundary member, else lowest member
+	parity   uint8 // defect parity
+}
+
+// peelLink is one entry of a node's list of fully grown edges: the
+// edge, its other endpoint and the next entry (-1 ends the list).
+type peelLink struct {
+	edge, far, next int32
+}
+
+// peelStep is one BFS tree entry: node plus the edge and node it was
+// discovered through.
 type peelStep struct {
 	node       int32
 	parentEdge int32
@@ -100,19 +110,16 @@ const weightScale = 4.0
 
 // NewUnionFind prepares a decoder for the graph.
 func NewUnionFind(g *Graph) *UnionFind {
+	n := g.NumNodes
 	d := &UnionFind{
-		g:        g,
-		es:       make([]edgeState, len(g.Edges)),
-		parent:   make([]int32, g.NumNodes),
-		size:     make([]int32, g.NumNodes),
-		parity:   make([]uint8, g.NumNodes),
-		boundary: make([]bool, g.NumNodes),
-		frSpan:   make([]span, g.NumNodes),
-		inited:   make([]bool, g.NumNodes),
-		defect:   make([]bool, g.NumNodes),
-		stamp:    make([]int32, g.NumNodes),
-		peelAdj:  make([][]int32, g.NumNodes),
-		seen:     make([]int32, g.NumNodes),
+		g:      g,
+		es:     make([]edgeState, len(g.Edges)),
+		adjOff: make([]int32, n+1),
+		root:   make([]int32, n),
+		next:   make([]int32, n),
+		cl:     make([]cluster, n),
+		defect: make([]bool, n),
+		head:   make([]int32, n),
 	}
 	for i, e := range g.Edges {
 		w := int32(math.Round(e.Weight * weightScale))
@@ -121,41 +128,44 @@ func NewUnionFind(g *Graph) *UnionFind {
 		}
 		d.es[i].w = w
 	}
-	d.adjPacked = make([][]int64, g.NumNodes)
-	for n := range d.adjPacked {
-		adj := g.Adj[n]
-		packed := make([]int64, len(adj))
-		for i, ei := range adj {
+	total := int32(0)
+	for v, adj := range g.Adj {
+		d.adjOff[v] = total
+		total += int32(len(adj))
+	}
+	d.adjOff[n] = total
+	d.adj = make([]int64, 0, total)
+	for v, adj := range g.Adj {
+		for _, ei := range adj {
 			e := g.Edges[ei]
 			far := e.A
-			if far == int32(n) {
+			if far == int32(v) {
 				far = e.B
 			}
-			packed[i] = int64(ei)<<32 | int64(far)
+			d.adj = append(d.adj, int64(ei)<<32|int64(far))
 		}
-		d.adjPacked[n] = packed
+	}
+	for v := range d.root {
+		d.root[v] = -1
 	}
 	return d
 }
 
-func (d *UnionFind) find(n int32) int32 {
-	root := n
-	for d.parent[root] != root {
-		root = d.parent[root]
+// initNode brings a node into the decode working set as a singleton
+// cluster whose frontier is the node's incident edges.
+func (d *UnionFind) initNode(n int32) {
+	if d.root[n] >= 0 {
+		return
 	}
-	for d.parent[n] != root {
-		d.parent[n], n = root, d.parent[n]
-	}
-	return root
-}
-
-// frInit bump-allocates node n's frontier block and fills it with the
-// node's incident (edge, far endpoint) entries.
-func (d *UnionFind) frInit(n int32) {
-	adj := d.adjPacked[n]
+	d.root[n] = n
+	d.next[n] = -1
+	d.defect[n] = false
+	d.head[n] = -1
 	off := int32(len(d.frArena))
-	d.frArena = append(d.frArena, adj...)
-	d.frSpan[n] = span{off: off, n: int32(len(adj)), cap: int32(len(adj))}
+	d.frArena = append(d.frArena, d.adj[d.adjOff[n]:d.adjOff[n+1]]...)
+	deg := int32(len(d.frArena)) - off
+	d.cl[n] = cluster{fr: span{off: off, n: deg, cap: deg}, size: 1, first: math.MaxInt32, peelRoot: n}
+	d.touched = append(d.touched, n)
 }
 
 // frConcat appends rb's frontier block onto ra's, preserving element
@@ -163,8 +173,8 @@ func (d *UnionFind) frInit(n int32) {
 // entries first, then rb's. Blocks that outgrow their reserved capacity
 // relocate to the arena tail with headroom, mirroring append's amortized
 // growth.
-func (d *UnionFind) frConcat(ra, rb int32) {
-	sa, sb := d.frSpan[ra], d.frSpan[rb]
+func (d *UnionFind) frConcat(ca, cb *cluster) {
+	sa, sb := ca.fr, cb.fr
 	switch {
 	case sb.n == 0:
 	case sa.cap-sa.n >= sb.n:
@@ -179,40 +189,63 @@ func (d *UnionFind) frConcat(ra, rb int32) {
 		d.frArena = append(d.frArena, make([]int64, capN-total)...)
 		sa = span{off: off, n: total, cap: capN}
 	}
-	d.frSpan[ra] = sa
-	d.frSpan[rb] = span{}
+	ca.fr = sa
+	cb.fr = span{}
 }
 
-// initNode lazily brings a node into the decode working set.
-func (d *UnionFind) initNode(n int32) {
-	if d.inited[n] {
-		return
-	}
-	d.inited[n] = true
-	d.parent[n] = n
-	d.size[n] = 1
-	d.parity[n] = 0
-	d.boundary[n] = d.g.IsBoundary(n)
-	d.frInit(n)
-	d.touched = append(d.touched, n)
-}
-
-// fuse unions the clusters containing nodes a and b.
+// fuse unions the distinct clusters containing nodes a and b: union by
+// size, ties to a's cluster, which keeps its label.
 func (d *UnionFind) fuse(a, b int32) {
 	d.initNode(a)
 	d.initNode(b)
-	ra, rb := d.find(a), d.find(b)
-	if ra == rb {
-		return
-	}
-	if d.size[ra] < d.size[rb] {
+	ra, rb := d.root[a], d.root[b]
+	if d.cl[ra].size < d.cl[rb].size {
 		ra, rb = rb, ra
 	}
-	d.parent[rb] = ra
-	d.size[ra] += d.size[rb]
-	d.parity[ra] ^= d.parity[rb]
-	d.boundary[ra] = d.boundary[ra] || d.boundary[rb]
-	d.frConcat(ra, rb)
+	last := rb
+	for m := rb; m >= 0; m = d.next[m] {
+		d.root[m] = ra
+		last = m
+	}
+	d.next[last] = d.next[ra]
+	d.next[ra] = rb
+	ca, cb := &d.cl[ra], &d.cl[rb]
+	ca.size += cb.size
+	ca.parity ^= cb.parity
+	ca.first = min(ca.first, cb.first)
+	// Boundary nodes (ids >= NumDetectors) come first, lowest first,
+	// then detectors, lowest first: one unsigned comparison after
+	// rotating the ids by NumDetectors.
+	nd := int32(d.g.NumDetectors)
+	if uint32(cb.peelRoot-nd) < uint32(ca.peelRoot-nd) {
+		ca.peelRoot = cb.peelRoot
+	}
+	d.frConcat(ca, cb)
+}
+
+// keepActive rewrites the cluster labels of roots in place into the
+// active list: the current labels of those clusters that are odd and
+// boundaryless, each once, ordered by their first defect.
+func (d *UnionFind) keepActive(roots []int32) []int32 {
+	n := 0
+	for _, r := range roots {
+		r = d.root[r]
+		c := &d.cl[r]
+		if c.parity == 0 || d.g.IsBoundary(c.peelRoot) {
+			continue
+		}
+		j := n
+		for j > 0 && d.cl[roots[j-1]].first > c.first {
+			j--
+		}
+		if j > 0 && roots[j-1] == r {
+			continue // already listed: one key per cluster
+		}
+		copy(roots[j+1:n+1], roots[j:n])
+		roots[j] = r
+		n++
+	}
+	return roots[:n]
 }
 
 // Decode returns the predicted observable-flip mask for the fired
@@ -221,17 +254,40 @@ func (d *UnionFind) Decode(defects []int) uint64 {
 	if len(defects) == 0 {
 		return 0
 	}
-	for _, n := range defects {
-		nn := int32(n)
-		d.initNode(nn)
-		d.defect[nn] = true
-		d.parity[d.find(nn)] ^= 1
-	}
-
-	d.grow(defects)
-	obs := d.peel()
+	obs := d.run(defects)
 	d.reset()
 	return obs
+}
+
+// run decodes a non-empty defect set and leaves its working set in place
+// for the caller to read before reset.
+func (d *UnionFind) run(defects []int) uint64 {
+	seeds := d.active[:0]
+	for i, n := range defects {
+		v := int32(n)
+		d.initNode(v)
+		d.defect[v] = true
+		c := &d.cl[v]
+		c.parity ^= 1
+		c.first = min(c.first, int32(i))
+		seeds = append(seeds, v)
+	}
+	d.active = d.keepActive(seeds)
+	d.grow()
+	return d.peel()
+}
+
+// nextSweep advances the sweep stamp. Before the counter would wrap, it
+// clears every edge's stamp, so a stale stamp never reads as current.
+func (d *UnionFind) nextSweep() int32 {
+	if d.sweep == math.MaxInt32 {
+		for i := range d.es {
+			d.es[i].sweep = 0
+		}
+		d.sweep = 0
+	}
+	d.sweep++
+	return d.sweep
 }
 
 // grow runs weighted cluster growth until every cluster is neutral
@@ -243,199 +299,139 @@ func (d *UnionFind) Decode(defects []int) uint64 {
 // fusion events every sweep is identical — the active set, the pruned
 // frontiers and the per-edge increments cannot change until a fusion
 // changes the topology. grow exploits that: after a sweep that fused
-// nothing, it computes how many more such identical sweeps would pass
-// before the first edge completes and applies their growth in one jump,
-// so the sweep count is proportional to the number of fusion events
-// rather than to the integer edge weights. The jump lands exactly on the
-// state the unit-growth dynamics would reach, so decode results are
-// bit-identical (TestUnionFindDeterministic, and the LER equivalence
-// tests in internal/mc, cover this).
-func (d *UnionFind) grow(defects []int) {
-	for {
-		active := d.active[:0]
-		d.stampGen++
-		for _, n := range defects {
-			r := d.find(int32(n))
-			if d.stamp[r] == d.stampGen {
-				continue
-			}
-			d.stamp[r] = d.stampGen
-			if d.parity[r] == 1 && !d.boundary[r] {
-				active = append(active, r)
-			}
-		}
-		d.active = active
-		if len(active) == 0 {
-			return
-		}
-		progress := false
-		anyFused := false
-		deltas := d.deltaTouched[:0]
+// nothing, it knows how many more such identical sweeps would pass
+// before the first edge completes (the running minimum k) and applies
+// their growth in one walk over the active frontiers, so the sweep
+// count is proportional to the number of fusion events rather than to
+// the integer edge weights. The jump lands exactly on the state the
+// unit-growth dynamics would reach, so decode results are bit-identical
+// (TestUnionFindMatchesReference and TestUnionFindGolden cover this).
+//
+// Only a fusion changes a cluster, and every fusion involves a cluster
+// of the active list, so the next sweep's active list is this one's
+// clusters under their new labels, filtered and ordered by first
+// defect: the order a walk over the defects in input order would find
+// them in.
+func (d *UnionFind) grow() {
+	active := d.active
+	for len(active) > 0 {
+		sweep := d.nextSweep()
+		k := int32(math.MaxInt32)
+		fusedAny := false
 		for _, r := range active {
-			if d.find(r) != r {
-				continue // fused earlier this sweep
+			if d.root[r] != r {
+				continue // fused into another cluster earlier this sweep
 			}
 			// Grow every frontier edge of this cluster by one unit. Stale
-			// entries (done, internal, or inherited from old fusions) are
-			// swap-removed. At most one fusion happens per cluster per
-			// sweep: the span is written back first so the fuse can safely
-			// concatenate blocks.
-			s := d.frSpan[r]
-			i := int32(0)
+			// entries (fully grown, internal, or inherited from old
+			// fusions) are swap-removed. At most one fusion happens per
+			// cluster per sweep: the span is written back first so the
+			// fuse can safely concatenate blocks.
+			s := d.cl[r].fr
+			arena := d.frArena[s.off : s.off+s.n]
 			fused := false
-			for i < s.n {
-				pk := d.frArena[s.off+i]
+			for i := int32(0); i < s.n; {
+				pk := arena[i]
 				ei := int32(pk >> 32)
-				far := int32(pk)
 				es := &d.es[ei]
 				// The entry's origin node is in r by construction, so the
 				// edge is incident exactly when the far endpoint is not.
-				incident := !es.done &&
-					(!d.inited[far] || d.find(far) != r)
-				if !incident {
+				if es.grown >= es.w || d.root[int32(pk)] == r {
 					s.n--
-					d.frArena[s.off+i] = d.frArena[s.off+s.n]
+					arena[i] = arena[s.n]
 					continue
 				}
 				if es.grown == 0 {
 					d.tEdges = append(d.tEdges, ei)
 				}
 				es.grown++
-				if es.delta == 0 {
-					deltas = append(deltas, ei)
+				rate := int32(1)
+				if es.sweep == sweep {
+					rate = 2 // the far side grew it this sweep too
 				}
-				es.delta++
-				progress = true
+				es.sweep = sweep
 				if es.grown >= es.w {
-					e := d.g.Edges[ei]
-					es.done = true
 					s.n--
-					d.frArena[s.off+i] = d.frArena[s.off+s.n]
-					d.frSpan[r] = s
+					arena[i] = arena[s.n]
+					d.cl[r].fr = s
+					e := &d.g.Edges[ei]
 					d.fuse(e.A, e.B)
 					fused = true
-					anyFused = true
 					break
 				}
+				// Sweeps until this edge completes if nothing fuses
+				// first; its first visit in a two-sided sweep
+				// overestimates, and the second one sets the minimum.
+				k = min(k, (es.w-es.grown+rate-1)/rate)
 				i++
 			}
-			if !fused {
-				d.frSpan[r] = s
+			if fused {
+				fusedAny = true
+			} else {
+				d.cl[r].fr = s
 			}
 		}
-		d.deltaTouched = deltas
-		if !anyFused && progress {
-			// Nothing fused: every following sweep repeats this one's
-			// increments verbatim until an edge completes. The first
-			// completion happens ceil(remaining/delta) sweeps from now;
-			// fast-forward to just before it (the completing sweep itself
-			// runs for real, preserving in-sweep fusion order).
-			k := int32(1<<31 - 1)
-			for _, ei := range deltas {
-				es := &d.es[ei]
-				rem := es.w - es.grown
-				if ke := (rem + es.delta - 1) / es.delta; ke < k {
-					k = ke
+		if fusedAny {
+			active = d.keepActive(active)
+			continue
+		}
+		if k == math.MaxInt32 {
+			// Nothing grew: a disconnected odd cluster with an exhausted
+			// frontier; there is nothing more the decoder can do.
+			break
+		}
+		// Nothing fused: every following sweep repeats this one's
+		// increments verbatim until an edge completes, k sweeps from
+		// now. Fast-forward to just before it (the completing sweep
+		// itself runs for real, preserving in-sweep fusion order): each
+		// frontier entry is one unit of growth per sweep.
+		if k > 1 {
+			for _, r := range active {
+				s := d.cl[r].fr
+				for _, pk := range d.frArena[s.off : s.off+s.n] {
+					d.es[int32(pk>>32)].grown += k - 1
 				}
 			}
-			if k > 1 {
-				for _, ei := range deltas {
-					es := &d.es[ei]
-					es.grown += (k - 1) * es.delta
-				}
-			}
-		}
-		for _, ei := range d.deltaTouched {
-			d.es[ei].delta = 0
-		}
-		d.deltaTouched = d.deltaTouched[:0]
-		if !progress {
-			// Disconnected odd cluster with an exhausted frontier; there
-			// is nothing more the decoder can do.
-			return
 		}
 	}
+	d.active = active
 }
 
-// peel extracts a correction from the grown clusters by leaf peeling on a
-// spanning forest of the fully-grown edges. Each connected component is
-// rooted at its lowest-numbered boundary node (so leftover parity can
-// leave through it), else its lowest-numbered node — a canonical choice
-// that makes the correction a deterministic function of the defect set.
+// peel extracts a correction from the grown clusters by leaf peeling.
+// Every fully grown edge fused two distinct clusters, so each cluster's
+// fully grown edges form a tree, and its correction — the edges whose
+// far side holds an odd number of defects — is unique once the tree is
+// rooted. The root is the cluster's lowest-numbered boundary node (so
+// leftover parity can leave through it), else its lowest-numbered node:
+// a canonical choice that makes the correction a deterministic function
+// of the defect set.
 func (d *UnionFind) peel() uint64 {
-	// Group fully-grown edges by incident node (tEdges order, so the
-	// construction is deterministic).
-	nodes := d.peelNodes[:0]
+	links := d.links[:0]
 	for _, ei := range d.tEdges {
-		if !d.es[ei].done {
+		if es := &d.es[ei]; es.grown < es.w {
 			continue
 		}
-		e := d.g.Edges[ei]
-		if len(d.peelAdj[e.A]) == 0 {
-			nodes = append(nodes, e.A)
-		}
-		d.peelAdj[e.A] = append(d.peelAdj[e.A], ei)
-		if len(d.peelAdj[e.B]) == 0 {
-			nodes = append(nodes, e.B)
-		}
-		d.peelAdj[e.B] = append(d.peelAdj[e.B], ei)
+		e := &d.g.Edges[ei]
+		links = append(links, peelLink{edge: ei, far: e.B, next: d.head[e.A]})
+		d.head[e.A] = int32(len(links) - 1)
+		links = append(links, peelLink{edge: ei, far: e.A, next: d.head[e.B]})
+		d.head[e.B] = int32(len(links) - 1)
 	}
-	d.peelNodes = nodes
+	d.links = links
 
 	var obs uint64
-	d.stampGen++
-	compGen := d.stampGen
-	for _, start := range nodes {
-		if d.stamp[start] == compGen {
+	for _, r := range d.touched {
+		if d.root[r] != r || d.cl[r].size == 1 {
 			continue
 		}
-		// Pass 1: collect the connected component and pick its root.
-		comp := d.comp[:0]
-		comp = append(comp, start)
-		d.stamp[start] = compGen
-		root := int32(-1)
-		rootBoundary := false
-		for i := 0; i < len(comp); i++ {
-			n := comp[i]
-			if b := d.g.IsBoundary(n); b == rootBoundary {
-				if root < 0 || n < root {
-					root = n
-				}
-			} else if b {
-				root = n
-				rootBoundary = true
-			}
-			for _, ei := range d.peelAdj[n] {
-				e := d.g.Edges[ei]
-				next := e.A
-				if next == n {
-					next = e.B
-				}
-				if d.stamp[next] != compGen {
-					d.stamp[next] = compGen
-					comp = append(comp, next)
-				}
-			}
-		}
-		d.comp = comp
-		// Pass 2: BFS spanning tree from the root.
-		d.seenGen++
-		order := d.order[:0]
-		order = append(order, peelStep{node: root, parentEdge: -1, parentNode: -1})
-		d.seen[root] = d.seenGen
+		root := d.cl[r].peelRoot
+		order := append(d.order[:0], peelStep{node: root, parentEdge: -1, parentNode: -1})
 		for i := 0; i < len(order); i++ {
-			n := order[i].node
-			for _, ei := range d.peelAdj[n] {
-				e := d.g.Edges[ei]
-				next := e.A
-				if next == n {
-					next = e.B
+			st := order[i]
+			for h := d.head[st.node]; h >= 0; h = links[h].next {
+				if l := links[h]; l.edge != st.parentEdge {
+					order = append(order, peelStep{node: l.far, parentEdge: l.edge, parentNode: st.node})
 				}
-				if d.seen[next] == d.seenGen {
-					continue
-				}
-				d.seen[next] = d.seenGen
-				order = append(order, peelStep{node: next, parentEdge: ei, parentNode: n})
 			}
 		}
 		d.order = order
@@ -453,24 +449,19 @@ func (d *UnionFind) peel() uint64 {
 		// simply left uncorrected.
 		d.defect[root] = false
 	}
-	for _, n := range d.peelNodes {
-		d.peelAdj[n] = d.peelAdj[n][:0]
-	}
 	return obs
 }
 
-// reset clears all per-shot state touched by the last Decode.
+// reset clears the per-shot state touched by the last decode. Fields
+// that initNode rewrites, and edge sweep stamps, need no clearing.
 func (d *UnionFind) reset() {
 	for _, n := range d.touched {
-		d.inited[n] = false
-		d.defect[n] = false
-		d.frSpan[n] = span{}
+		d.root[n] = -1
 	}
 	d.touched = d.touched[:0]
 	d.frArena = d.frArena[:0]
 	for _, ei := range d.tEdges {
 		d.es[ei].grown = 0
-		d.es[ei].done = false
 	}
 	d.tEdges = d.tEdges[:0]
 }
