@@ -16,7 +16,7 @@ COUNT ?= 1
 BENCH_OUT ?= bench.txt
 BENCH_JSON ?= bench.json
 
-.PHONY: build test race cover fuzz serve bench bench-json bench-compare diff diff-long chaos chaos-long obs-smoke
+.PHONY: build test race cover fuzz serve bench bench-json bench-compare diff diff-long chaos chaos-long obs-smoke loc
 
 build:
 	$(GO) build ./...
@@ -120,3 +120,9 @@ chaos-long:
 # the status dashboard, and pprof. CI runs it in the fleet-smoke job.
 obs-smoke:
 	./scripts/obs-smoke.sh
+
+# loc counts the non-test Go lines outside e2ebench/, blank and
+# comment-only lines excluded: the size figure a simplification reports
+# before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './e2ebench/*' -print0 | xargs -0 cat | grep -cvE '^\s*($$|//)'

@@ -46,10 +46,11 @@ API (see API.md for the full contract; DESIGN.md §11, §14, §15):
 
 Submit jobs with `+"`latticesim submit`"+`, add execution nodes with
 `+"`latticesim worker`"+`, inspect a running fleet with
-`+"`latticesim status`"+`, or use any HTTP client. The X-Tenant request
-header attributes submissions to a tenant for -tenant-quota admission
-control. With -log-json every job, attempt and lease emits start/end
-span events (NDJSON) keyed by the job's trace ID, which also rides the
+`+"`latticesim status`"+`, or use any HTTP client. The bounded queue
+(-queue) is the only admission rule: a submission beyond it gets 503
+with a retry hint, and a campaign's batches are exempt from it. With
+-log-json every job, attempt and lease emits start/end span events
+(NDJSON) keyed by the job's trace ID, which also rides the
 X-Latticesim-Trace response header; -debug-addr serves pprof.
 
 Flags:`)
@@ -66,8 +67,6 @@ Flags:`)
 		maxAttempts = fs.Int("max-attempts", 0, "failed execution attempts per job before it fails terminally; panics, errors and missed leases each consume one (0 = 3)")
 		lease       = fs.Duration("lease", 0, "heartbeat lease per running attempt; an attempt that misses it is declared dead and the job requeued (0 = 30s)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "default wall-time bound per attempt, overridable per job via timeout_ms (0 = unbounded)")
-
-		tenantQuota = fs.Int("tenant-quota", 0, "live work units (queued + running jobs, campaign children included) allowed per tenant; submissions beyond it get 429 (0 = unlimited)")
 		stealAge    = fs.Duration("steal-age", 0, "idle worker nodes may duplicate a running campaign-batch attempt whose lease was last renewed at least this long ago (0 = lease/2; negative disables stealing)")
 
 		of = addObsFlags(fs)
@@ -89,8 +88,7 @@ Flags:`)
 	svc, err := service.New(service.Options{
 		DataDir: *data, Workers: lw, QueueDepth: *queue, MCWorkers: *mcw,
 		MaxAttempts: *maxAttempts, Lease: *lease, JobTimeout: *jobTimeout,
-		TenantQuota: *tenantQuota, StealAge: *stealAge,
-		Spans: sinks.Spans, Logger: sinks.Logger,
+		StealAge: *stealAge, Spans: sinks.Spans, Logger: sinks.Logger,
 	})
 	if err != nil {
 		return err

@@ -75,8 +75,8 @@ func printStatus(ctx context.Context, w io.Writer, client *service.Client, addr 
 		st.Jobs, st.BatchChildren, st.Queued, st.Running, st.Done, st.Failed, st.Canceled, st.IntegrityErrors)
 	fmt.Fprintf(w, "  work      attempts %d  requeues %d  cancellations %d  integrity checks %d / failures %d\n",
 		st.Attempts, st.Requeues, st.Cancellations, st.IntegrityChecks, st.IntegrityFailures)
-	fmt.Fprintf(w, "  fleet     workers %d  active leases %d  steals %d  campaigns %d  quota rejections %d\n",
-		st.Workers, st.ActiveLeases, st.Steals, st.Campaigns, st.QuotaRejections)
+	fmt.Fprintf(w, "  fleet     workers %d  active leases %d  steals %d  campaigns %d\n",
+		st.Workers, st.ActiveLeases, st.Steals, st.Campaigns)
 	fmt.Fprintf(w, "  store     hits %d  puts %d  corruptions %d   build cache %d hits / %d misses\n",
 		st.StoreHits, st.StorePuts, st.StoreCorruptions, st.BuildHits, st.BuildMisses)
 

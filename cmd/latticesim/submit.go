@@ -61,7 +61,6 @@ type submitCommon struct {
 	wait    *bool
 	quiet   *bool
 	retry   *bool
-	tenant  *string
 	timeout *time.Duration
 }
 
@@ -70,8 +69,7 @@ func addCommon(fs *flag.FlagSet) submitCommon {
 		server:  fs.String("server", "http://127.0.0.1:8642", "server base URL"),
 		wait:    fs.Bool("wait", true, "wait for the job and print its result JSON to stdout"),
 		quiet:   fs.Bool("quiet", false, "suppress the status line on stderr"),
-		retry:   fs.Bool("retry", false, "retry transient failures (transport errors, queue-full 503s, over-quota 429s, dropped watch streams) with jittered exponential backoff"),
-		tenant:  fs.String("tenant", "", "tenant the submission counts against for quota accounting (\"\" = \"default\")"),
+		retry:   fs.Bool("retry", false, "retry transient failures (transport errors, queue-full 503s, rate-limiting 429s, dropped watch streams) with jittered exponential backoff"),
 		timeout: fs.Duration("timeout", 0, "per-attempt wall-time bound for this job; exceeding it fails the job with stop reason \"timeout\" (0 = server default)"),
 	}
 }
@@ -79,7 +77,6 @@ func addCommon(fs *flag.FlagSet) submitCommon {
 // client builds the API client, with retries when -retry is set.
 func (c submitCommon) client() *service.Client {
 	client := service.NewClient(*c.server)
-	client.Tenant = *c.tenant
 	if *c.retry {
 		client.Retry = service.DefaultRetryPolicy()
 	}

@@ -36,7 +36,8 @@ fixed seed, independent of -workers.
 With -json, one trace.ResultSet JSON line per (d, p) grid cell — the
 same machine-readable schema the simulation service returns for trace
 jobs — is streamed to stdout, and all human-readable output moves to
-stderr, so CLI and API outputs are interchangeable.
+stderr, so CLI and API outputs are interchangeable. The JSON carries no
+source label, so its bytes do not depend on the path naming the trace.
 
 Flags:`)
 		fs.PrintDefaults()
@@ -155,7 +156,9 @@ Flags:`)
 				return err
 			}
 			if *jsonOut {
-				if err := jsonEnc.Encode(trace.NewResultSet(prog, cfg, source, results)); err != nil {
+				// No source label: like the service's trace jobs, the
+				// bytes must not depend on the path naming the trace.
+				if err := jsonEnc.Encode(trace.NewResultSet(prog, cfg, "", results)); err != nil {
 					return err
 				}
 				continue

@@ -392,32 +392,6 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// Append concatenates other onto c, shifting other's absolute measurement
-// records so detectors and observables keep referring to the same
-// measurements.
-func (c *Circuit) Append(other *Circuit) {
-	shift := int32(c.numMeasurements)
-	for _, op := range other.Ops {
-		cp := Op{Type: op.Type,
-			Targets: append([]int32(nil), op.Targets...),
-			Args:    append([]float64(nil), op.Args...),
-		}
-		if len(op.Records) > 0 {
-			cp.Records = make([]int32, len(op.Records))
-			for i, r := range op.Records {
-				cp.Records[i] = r + shift
-			}
-		}
-		c.Ops = append(c.Ops, cp)
-	}
-	c.noteQubits(int32(other.numQubits) - 1)
-	c.numMeasurements += other.numMeasurements
-	c.numDetectors += other.numDetectors
-	if other.numObservables > c.numObservables {
-		c.numObservables = other.numObservables
-	}
-}
-
 // CountOps returns the number of ops of the given type.
 func (c *Circuit) CountOps(t OpType) int {
 	n := 0

@@ -148,30 +148,6 @@ func TestZeroProbabilityChannelsDropped(t *testing.T) {
 	}
 }
 
-func TestAppendShiftsRecords(t *testing.T) {
-	a := New()
-	ra := a.Measure(0)
-	a.Detector(nil, ra[0])
-
-	b := New()
-	rb := b.Measure(1)
-	b.Detector(nil, rb[0])
-	b.Observable(0, rb[0])
-
-	a.Append(b)
-	if a.NumMeasurements() != 2 || a.NumDetectors() != 2 {
-		t.Fatalf("append counts wrong: %d meas, %d det", a.NumMeasurements(), a.NumDetectors())
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The appended detector must reference the shifted record 1.
-	last := a.Ops[len(a.Ops)-2]
-	if last.Type != OpDetector || last.Records[0] != 1 {
-		t.Fatalf("appended detector references %v, want [1]", last.Records)
-	}
-}
-
 func TestDetectorInfo(t *testing.T) {
 	c := buildSample()
 	dets := c.Detectors()

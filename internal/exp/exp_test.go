@@ -2,7 +2,10 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -176,23 +179,88 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun executes every runner end-to-end at tiny scale.
+// experimentDigests pins every runner's output at quickOpts: the
+// SHA-256 of the bytes it writes, with fig20's wall-clock columns
+// masked (see maskFig20). A digest changes only in a change meant to
+// move that output, and CHANGES.md names the output and why it moved.
+var experimentDigests = map[string]string{
+	"fig1c":        "09ac5673851d8cf69b5882356516cbd6125c85b565d89bc75502588934120119",
+	"fig1d":        "c1cd16bd3b57010f72390344988363fbaf39b8301958bdfae0d9b94900bd6f32",
+	"fig3c":        "51d2bc5869843293df9d163e5caeaea78c8261d439f51b1a7be69551f5604df1",
+	"fig4a":        "d1174f299db7ff6d6e43c90e273bd72f7f6a5734da5791c55a84f15b9153b196",
+	"fig4b":        "c6dc234c31e9c92b3b023a8daa265bba74856b66a7d8141be880985e0352a93a",
+	"fig6":         "cd5b41cc98f611e9c72ebafb3957554db2309bbeed4689d2e4c0766ca74060c6",
+	"fig7a":        "fba53357b8baf485507553064f2a781da110bf3f3764bcf72ac36548453c662e",
+	"fig7b":        "eb35b8923f1732630011689adcf27e0c13c013f86a1469e5b236ba79c110e939",
+	"fig10":        "cca69be8bde5939c9a5f93630a3595d90718d2a82f91dd5dcd48204a6cae8840",
+	"fig11":        "81f83c664d53e76258a50f595900409ede338a212ce6a6c162397253fd69eaf3",
+	"fig14":        "d72a30cf40b98e8282a3480ceeb36033757c082b6952b4c09114483b88b61712",
+	"fig15":        "6bb3ab66ca1bd70960152af7fd43a8e1b07afb2f8090608c34f6dd46803d3024",
+	"fig16":        "33f04bcb9eaef373e25d5c1a3a7f6c5e23889a6c5ad029d34e2331b32a05bb2f",
+	"fig17":        "551a14b764d61ae77f64fcf420a44eb3fadd2360208a29731b25ea26240f87d9",
+	"fig18a":       "87c65f8a1bb16128407c95159930ed4c32474c7011635d846e4ffd44a9bb62f1",
+	"fig18b":       "b60fe5467f5e20dab9b33be097f3bb3f9341f2c78d7d5949c02474c57c815124",
+	"fig19":        "121d3ea50c6ab5364dd9f2b15b16c41ceaf9952c9b1ffb32cbe3e7e00b037091",
+	"fig20":        "2bf14a2a8ef1344fbcbb3e634f9a46e5f233af8842cc3d92dce38ae15093dc16",
+	"fig21":        "1db7a3bdc401c1381f88cd02c8de8b00614dfe9744b52d1b95474495ae476a64",
+	"fig22":        "2618d92329729ff6a54a15771893ee8b43aa484db29a7235008e28eff4a37576",
+	"table1":       "d5812416d464571bee879f0c3543e81c4d5f70a2977bd1110183fd1dd0bf9a05",
+	"table2":       "2a6abcc116915b20c8468992ccd5162863b6057bf417e5ed0fa671ed6f09034a",
+	"table4":       "3eb2dda5862b896a0e3f223751146e6b056d23c917fef0f28488a56325fab90c",
+	"table5":       "f16658476f7743d86c7423461ac708aac0ac1406be6e94ad80b15a57421c3458",
+	"ext-trace":    "6471a2348782fa30a1be77af5846045ebd71f8e0594d3f510dd3843fa6ed3b76",
+	"ext-chain":    "d9c39aa2a59f444f117698c79b2397f614807fe1c5503810323d8d5a3737cc89",
+	"ext-dropout":  "ccadad7f5a83d9bec99b46fc238625f106c8afb8b51de65adf49c101668b6c6e",
+	"ext-ablation": "54db5363aed2d15dc2bb27971aaacc367fe8d3ab6c329f852671fc311514d15f",
+}
+
+// fig20Timing matches a fig20 planning-time row: the patch count, then
+// the mean wall-clock time of one Engine.PlanSync call under Active and
+// under Hybrid.
+var fig20Timing = regexp.MustCompile(`(?m)^(\d+) +\S+ +\S+ *$`)
+
+// maskFig20 blanks fig20's two planning-time columns, the only output
+// of any runner that depends on the machine and the run.
+func maskFig20(out []byte) []byte {
+	return fig20Timing.ReplaceAll(out, []byte("$1 - -"))
+}
+
+// TestAllExperimentsRun executes every runner end-to-end at tiny scale
+// and compares its output digest with experimentDigests, at two worker
+// counts so that worker independence is pinned too. Under the race
+// detector one worker count suffices: a pass of all 28 is slow there.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")
 	}
+	workers := []int{1, 3}
+	if raceEnabled {
+		workers = workers[:1]
+	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, quickOpts); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-			if !strings.Contains(buf.String(), "==") {
-				t.Fatalf("%s missing header", e.ID)
+			for _, w := range workers {
+				o := quickOpts
+				o.Workers = w
+				var buf bytes.Buffer
+				if err := e.Run(&buf, o); err != nil {
+					t.Fatalf("%s: %v", e.ID, err)
+				}
+				if buf.Len() == 0 {
+					t.Fatalf("%s produced no output", e.ID)
+				}
+				if !strings.Contains(buf.String(), "==") {
+					t.Fatalf("%s missing header", e.ID)
+				}
+				out := buf.Bytes()
+				if e.ID == "fig20" {
+					out = maskFig20(out)
+				}
+				sum := sha256.Sum256(out)
+				if got, want := hex.EncodeToString(sum[:]), experimentDigests[e.ID]; got != want {
+					t.Errorf("%s at workers %d: output SHA-256 %s, want %s", e.ID, w, got, want)
+				}
 			}
 		})
 	}

@@ -26,12 +26,6 @@ func IdlePauli(tauNs, t1Ns, t2Ns float64) (px, py, pz float64) {
 	return px, py, pz
 }
 
-// IdleErrorTotal returns the total idle error probability px+py+pz.
-func IdleErrorTotal(tauNs, t1Ns, t2Ns float64) float64 {
-	px, py, pz := IdlePauli(tauNs, t1Ns, t2Ns)
-	return px + py + pz
-}
-
 // Model bundles the circuit-level noise strength with the platform
 // coherence times used for idle annotations.
 type Model struct {

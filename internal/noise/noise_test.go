@@ -60,16 +60,22 @@ func TestModelIdleChannel(t *testing.T) {
 	if px != wx {
 		t.Fatal("model channel must match the raw formula")
 	}
-	if IdleErrorTotal(1000, 25000, 40000) <= 0 {
+	if idleTotal(1000, 25000, 40000) <= 0 {
 		t.Fatal("total must be positive")
 	}
+}
+
+// idleTotal is the total idle error probability px+py+pz.
+func idleTotal(tauNs, t1Ns, t2Ns float64) float64 {
+	px, py, pz := IdlePauli(tauNs, t1Ns, t2Ns)
+	return px + py + pz
 }
 
 // TestGoogleWorseThanIBM: the shorter-coherence platform accumulates more
 // idle error for the same idle duration.
 func TestGoogleWorseThanIBM(t *testing.T) {
-	ibm := IdleErrorTotal(1000, 200000, 150000)
-	ggl := IdleErrorTotal(1000, 25000, 40000)
+	ibm := idleTotal(1000, 200000, 150000)
+	ggl := idleTotal(1000, 25000, 40000)
 	if ggl <= ibm {
 		t.Fatalf("google idle error %v should exceed IBM %v", ggl, ibm)
 	}

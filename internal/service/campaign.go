@@ -71,12 +71,11 @@ func (c *campaign) status() CampaignStatus {
 // Children deduplicate exactly like submissions: a batch whose result
 // is already stored is registered done (nothing recomputed), a batch
 // identical to a live job joins it, and only fresh batches enter the
-// queue. The tenant is charged one unit for the parent plus one per
-// fresh child, atomically — an over-quota campaign is rejected whole,
-// with no partial side effects. Every child inherits the campaign's
-// trace ID (except a coalesced live job, which keeps the trace it was
-// born with). Caller holds s.mu.
-func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (JobStatus, error) {
+// queue, exempt from the QueueDepth bound: the campaign is one
+// admission decision. Every child inherits the campaign's trace ID
+// (except a coalesced live job, which keeps the trace it was born
+// with). Caller holds s.mu.
+func (s *Server) submitCampaignLocked(r *resolvedJob, traceID string) (JobStatus, error) {
 	// Cut the canonical-order units into batch resolvedJobs.
 	var batches []*resolvedJob
 	for lo := 0; lo < len(r.units); lo += r.batch {
@@ -87,16 +86,14 @@ func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (J
 		batches = append(batches, compositeResolved("batch", r.units[lo:hi]))
 	}
 
-	// Classify before creating anything, so quota rejection is free of
-	// side effects: fresh batches are charged, adopted/stored ones not.
+	// Classify before creating anything, so a store read error leaves
+	// no campaign half-registered.
 	type childPlan struct {
-		res   *resolvedJob
-		live  *job // non-nil: adopt this in-flight job
-		hit   bool // stored already: register a done child
-		fresh bool
+		res  *resolvedJob
+		live *job // non-nil: adopt this in-flight job
+		hit  bool // stored already: register a done child
 	}
 	plans := make([]childPlan, len(batches))
-	fresh := 0
 	for i, br := range batches {
 		plans[i].res = br
 		if live, ok := s.inflight[br.key]; ok {
@@ -107,19 +104,11 @@ func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (J
 			return JobStatus{}, err
 		} else if ok {
 			plans[i].hit = true
-			continue
 		}
-		plans[i].fresh = true
-		fresh++
-	}
-	if err := s.chargeTenantLocked(tenant, 1+fresh); err != nil {
-		return JobStatus{}, err
 	}
 
 	now := time.Now().UnixMilli()
 	parent := s.addJobLocked(r, StateRunning, false)
-	parent.tenant = tenant
-	parent.status.Tenant = tenant
 	parent.status.TraceID = traceID
 	parent.status.Progress = Progress{Total: len(r.units), Unit: "points"}
 	s.inflight[r.key] = parent
@@ -135,7 +124,6 @@ func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (J
 		case p.hit:
 			cj := s.addJobLocked(p.res, StateDone, true)
 			cj.child = true
-			cj.status.Tenant = tenant
 			cj.status.TraceID = traceID
 			cj.status.DoneMs = now
 			s.met.storeHits.Inc()
@@ -144,8 +132,6 @@ func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (J
 		default:
 			cj := s.addJobLocked(p.res, StateQueued, false)
 			cj.child = true
-			cj.tenant = tenant
-			cj.status.Tenant = tenant
 			cj.status.TraceID = traceID
 			s.pending = append(s.pending, cj)
 			s.inflight[p.res.key] = cj

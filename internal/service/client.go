@@ -81,10 +81,6 @@ type Client struct {
 	// Retry, when non-nil, retries transient failures (see RetryPolicy).
 	// nil disables retries: every failure is returned immediately.
 	Retry *RetryPolicy
-	// Tenant, when non-empty, is sent as the X-Tenant header on
-	// submissions, attributing them to that tenant's quota ("" =
-	// "default").
-	Tenant string
 	// Trace, when non-empty, is sent as the X-Latticesim-Trace header
 	// on submissions, joining the submitted job to an existing trace
 	// ("" lets the server mint a fresh trace ID; the submission
@@ -185,11 +181,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // doRetry runs build→Do→handle with the client's retry policy. build
 // must return a fresh request each call (bodies are consumed); handle
 // sees only 2xx responses. Transport errors, 503s (full queue), 429s
-// (over quota), and handle errors (a torn body — the connection died
-// mid-response) are retried; anything else is final. Retrying handle
-// is safe because every request through here is idempotent. The
-// server's retry hint — the envelope's retry_after_ms, or the
-// Retry-After header — floors the backoff.
+// (a proxy's rate limit) and handle errors (a torn body — the
+// connection died mid-response) are retried; anything else is final.
+// Retrying handle is safe because every request through here is
+// idempotent. The server's retry hint — the envelope's retry_after_ms,
+// or the Retry-After header — floors the backoff.
 func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error), handle func(*http.Response) error) error {
 	for n := 0; ; n++ {
 		req, err := build()
@@ -270,7 +266,7 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 }
 
 // postJSON posts a prepared JSON body to path and decodes the 200
-// response into out, with retries and tenant attribution.
+// response into out, with retries and trace propagation.
 func (c *Client) postJSON(ctx context.Context, path string, body []byte, out any) error {
 	return c.doRetry(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
@@ -278,9 +274,6 @@ func (c *Client) postJSON(ctx context.Context, path string, body []byte, out any
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if c.Tenant != "" {
-			req.Header.Set("X-Tenant", c.Tenant)
-		}
 		if c.Trace != "" {
 			req.Header.Set(obs.TraceHeader, c.Trace)
 		}

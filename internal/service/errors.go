@@ -14,9 +14,9 @@ import (
 //	{"error": {"code": "...", "message": "...", "retry_after_ms": N}}
 //
 // where retry_after_ms is present only on retryable rejections
-// (queue_full, quota_exceeded). The set of codes is part of the API
-// contract (API.md); new codes may be added, existing ones never change
-// meaning.
+// (queue_full). The set of codes is part of the API contract (API.md);
+// new codes may be added, existing ones never change meaning, and a
+// retired code is never reused.
 const (
 	// CodeBadRequest marks a malformed or invalid request body, path or
 	// parameter. Retrying the identical request cannot succeed.
@@ -27,10 +27,6 @@ const (
 	// CodeQueueFull marks a submission rejected because the bounded
 	// queue has no room; retry after the hinted delay.
 	CodeQueueFull = "queue_full"
-	// CodeQuotaExceeded marks a submission rejected by per-tenant
-	// admission control; retry after the hinted delay, or cancel some of
-	// the tenant's live work.
-	CodeQuotaExceeded = "quota_exceeded"
 	// CodeShuttingDown marks a request refused because the server is
 	// closing.
 	CodeShuttingDown = "shutting_down"

@@ -12,85 +12,45 @@ import (
 	"time"
 )
 
-// TestTenantQuota exercises per-tenant admission control end to end
-// over HTTP: an over-quota tenant gets 429 with the quota_exceeded
-// envelope and a Retry-After hint, other tenants are unaffected, and
-// canceling live work refunds the budget.
-func TestTenantQuota(t *testing.T) {
-	// Coordinator-only (Workers: -1): submitted jobs stay queued, so
-	// the tenant's live count is deterministic.
-	_, client := newTestServer(t, Options{Workers: -1, TenantQuota: 2})
+// TestQueueFullOverTheWire drives a real server into ErrQueueFull. The
+// bounded queue is the server's only admission rule: its rejection is
+// a 503 with a Retry-After header and the queue_full envelope, the
+// client surfaces the code, and campaign batch children are exempt.
+func TestQueueFullOverTheWire(t *testing.T) {
+	// Coordinator-only (Workers: -1): nothing runs, so the one queue
+	// slot stays taken.
+	srv, client := newTestServer(t, Options{Workers: -1, QueueDepth: 1})
 	ctx := context.Background()
-	client.Tenant = "alice"
 
-	var ids []string
-	for seed := uint64(1); seed <= 2; seed++ {
-		st, err := client.Submit(ctx, sweepSpec(1000, 64, seed))
-		if err != nil {
-			t.Fatalf("submit %d for alice: %v", seed, err)
-		}
-		ids = append(ids, st.ID)
-	}
-
-	_, err := client.Submit(ctx, sweepSpec(1000, 64, 3))
-	if err == nil {
-		t.Fatal("third submission for alice succeeded past quota 2")
-	}
-	var apiErr *APIStatusError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("over-quota error is %T (%v), want *APIStatusError", err, err)
-	}
-	if apiErr.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota status = %d, want 429", apiErr.StatusCode)
-	}
-	if apiErr.Code != CodeQuotaExceeded || ErrorCode(err) != CodeQuotaExceeded {
-		t.Fatalf("over-quota code = %q (ErrorCode %q), want %q", apiErr.Code, ErrorCode(err), CodeQuotaExceeded)
-	}
-	if apiErr.RetryAfterMs <= 0 {
-		t.Fatalf("over-quota retry_after_ms = %d, want > 0", apiErr.RetryAfterMs)
-	}
-	if !strings.Contains(apiErr.Message, "alice") {
-		t.Fatalf("over-quota message %q does not name the tenant", apiErr.Message)
-	}
-
-	// Another tenant is unaffected by alice's exhaustion.
-	bob := *client
-	bob.Tenant = "bob"
-	if _, err := bob.Submit(ctx, sweepSpec(1000, 64, 10)); err != nil {
-		t.Fatalf("bob's submission rejected while alice is over quota: %v", err)
-	}
-
-	// Canceling one of alice's live jobs refunds her budget.
-	if _, err := client.Cancel(ctx, ids[0]); err != nil {
-		t.Fatalf("cancel %s: %v", ids[0], err)
-	}
-	if _, err := client.Submit(ctx, sweepSpec(1000, 64, 3)); err != nil {
-		t.Fatalf("submission after cancel-refund rejected: %v", err)
-	}
-}
-
-// TestQuotaRetryAfterHeader checks the raw wire shape of a quota
-// rejection: HTTP 429, a Retry-After header, and the JSON error
-// envelope.
-func TestQuotaRetryAfterHeader(t *testing.T) {
-	srv, client := newTestServer(t, Options{Workers: -1, TenantQuota: 1})
-	if _, err := srv.SubmitAs(sweepSpec(1000, 64, 1), "alice"); err != nil {
-		t.Fatalf("first submission: %v", err)
-	}
-
-	body, _ := json.Marshal(sweepSpec(1000, 64, 2))
+	// The first submission fills the queue. It carries the retired
+	// attribution header, which the server accepts and ignores for one
+	// release (API.md, "Deprecation policy").
+	body, _ := json.Marshal(sweepSpec(1000, 64, 1))
 	req, _ := http.NewRequest(http.MethodPost, client.BaseURL+"/v1/jobs", bytes.NewReader(body))
 	req.Header.Set("X-Tenant", "alice")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST /v1/jobs: %v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || st.State != StateQueued {
+		t.Fatalf("first submission: HTTP %d, %+v (decode: %v), want 200 and queued", resp.StatusCode, st, err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 response has no Retry-After header")
+
+	// The second distinct submission finds the queue full.
+	body, _ = json.Marshal(sweepSpec(1000, 64, 2))
+	resp, err = http.Post(client.BaseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	var env struct {
 		Error APIError `json:"error"`
@@ -98,11 +58,35 @@ func TestQuotaRetryAfterHeader(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatalf("decode envelope: %v", err)
 	}
-	if env.Error.Code != CodeQuotaExceeded || env.Error.RetryAfterMs <= 0 {
-		t.Fatalf("envelope = %+v, want code %q with retry hint", env.Error, CodeQuotaExceeded)
+	if env.Error.Code != CodeQueueFull || env.Error.RetryAfterMs != 1000 {
+		t.Fatalf("envelope = %+v, want code %q with retry_after_ms 1000", env.Error, CodeQueueFull)
 	}
-	if st, _ := srv.Stats(), false; st.QuotaRejections == 0 {
-		t.Fatal("stats quota_rejections = 0 after a rejection")
+
+	// Through the client, without retry, the code reaches the caller.
+	if _, err := client.Submit(ctx, sweepSpec(1000, 64, 3)); ErrorCode(err) != CodeQueueFull {
+		t.Fatalf("client submission to a full queue: %v, want code %q", err, CodeQueueFull)
+	}
+
+	// A campaign of four one-point batches is still admitted: its
+	// children are exempt from the bound.
+	if _, err := client.SubmitCampaign(ctx, CampaignJob{
+		Policies: "Passive,Active", TausNs: "500,1000",
+		Shots: 64, Seed: 11, BatchPoints: 1,
+	}); err != nil {
+		t.Fatalf("campaign submitted to a full queue: %v", err)
+	}
+	if st := srv.Stats(); st.BatchChildren != 4 || st.Queued != 5 {
+		t.Fatalf("stats: %d batch children, %d queued; want 4 and 5 (the first job and every child)",
+			st.BatchChildren, st.Queued)
+	}
+
+	// Nor do the children take queue room: once the first job is
+	// canceled, a plain submission fits beside them.
+	if _, err := client.Cancel(ctx, st.ID); err != nil {
+		t.Fatalf("cancel %s: %v", st.ID, err)
+	}
+	if _, err := client.Submit(ctx, sweepSpec(1000, 64, 4)); err != nil {
+		t.Fatalf("submission beside four queued batch children: %v", err)
 	}
 }
 

@@ -36,7 +36,6 @@ var goldenMetricNames = []string{
 	"latticesim_lease_renewals_total",
 	"latticesim_queue_depth",
 	"latticesim_queue_fresh",
-	"latticesim_quota_rejections_total",
 	"latticesim_requeues_total",
 	"latticesim_steals_total",
 	"latticesim_store_corruptions_total",
@@ -412,14 +411,14 @@ func spanEvents(t *testing.T, text string) []obs.SpanEvent {
 func TestSubmitTracePropagation(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: -1})
 	want := obs.NewTraceID()
-	st, err := srv.SubmitTraced(sweepSpec(900, 64, 5), "", want)
+	st, err := srv.SubmitTraced(sweepSpec(900, 64, 5), want)
 	if err != nil {
 		t.Fatalf("SubmitTraced: %v", err)
 	}
 	if st.TraceID != want {
 		t.Fatalf("trace ID = %q, want adopted %q", st.TraceID, want)
 	}
-	st2, err := srv.SubmitTraced(sweepSpec(901, 64, 5), "", "not-a-trace-id")
+	st2, err := srv.SubmitTraced(sweepSpec(901, 64, 5), "not-a-trace-id")
 	if err != nil {
 		t.Fatalf("SubmitTraced: %v", err)
 	}

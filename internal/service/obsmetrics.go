@@ -25,7 +25,6 @@ type serverMetrics struct {
 	requeues        *obs.Counter
 	cancels         *obs.Counter
 	steals          *obs.Counter
-	quotaRejects    *obs.Counter
 	campaigns       *obs.Counter
 	integrityChecks *obs.Counter
 	integrityFails  *obs.Counter
@@ -76,7 +75,6 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 		requeues:        reg.Counter("latticesim_requeues_total", "Crash-recovery requeues: panics, execution errors, expired leases."),
 		cancels:         reg.Counter("latticesim_cancellations_total", "Cancel calls that stopped a live job."),
 		steals:          reg.Counter("latticesim_steals_total", "Tail work-steals: straggler batch attempts duplicated to an idle node."),
-		quotaRejects:    reg.Counter("latticesim_quota_rejections_total", "Submissions refused by tenant admission control."),
 		campaigns:       reg.Counter("latticesim_campaigns_total", "Campaigns ever scheduled (store hits excluded)."),
 		integrityChecks: reg.Counter("latticesim_integrity_checks_total", "Late-completion byte-compares against the stored result."),
 		integrityFails:  reg.Counter("latticesim_integrity_failures_total", "Byte-compares that found a mismatch (always 0 unless determinism is broken)."),
@@ -221,7 +219,7 @@ func (s *Server) startJobSpan(j *job) {
 }
 
 // endJobSpan emits the job's end event with its queued→done duration.
-// Called exactly once per job, from settle's released-flag guard.
+// Called exactly once per job, from settle's settled-flag guard.
 func (s *Server) endJobSpan(st JobStatus, kind string) {
 	if s.spans == nil {
 		return

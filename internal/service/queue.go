@@ -18,22 +18,6 @@ var ErrQueueFull = errors.New("service: job queue is full")
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("service: server is shutting down")
 
-// QuotaError is returned by SubmitAs when per-tenant admission control
-// rejects a submission; the HTTP layer maps it to 429 with the
-// "quota_exceeded" envelope code and a Retry-After hint.
-type QuotaError struct {
-	// Tenant is the over-quota tenant; Limit its configured quota; Live
-	// its current live (queued + running) work units.
-	Tenant string
-	Limit  int
-	Live   int
-}
-
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("service: tenant %q is over quota (%d live work units, limit %d)",
-		e.Tenant, e.Live, e.Limit)
-}
-
 // Options configures a Server. The zero value is usable: a memory-only
 // store, 2 in-process nodes, a 64-deep queue, and a private build cache.
 type Options struct {
@@ -51,9 +35,11 @@ type Options struct {
 	// never depend on it.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs
-	// (0 = 64); submissions beyond it fail with ErrQueueFull. Requeues of
-	// already-accepted jobs (crash recovery) are exempt — recovery never
-	// competes with fresh submissions for queue room.
+	// (0 = 64); submissions beyond it fail with ErrQueueFull. It is the
+	// server's only admission rule. Requeues of already-accepted jobs
+	// (crash recovery) are exempt — recovery never competes with fresh
+	// submissions for queue room — and so are campaign batch children:
+	// a campaign is one admission decision.
 	QueueDepth int
 	// MCWorkers is the Monte Carlo worker-pool size each running job
 	// uses (0 = GOMAXPROCS). With several in-process nodes, a small value
@@ -82,12 +68,6 @@ type Options struct {
 	// the effective bound, so remote nodes enforce it too. Exceeding it
 	// fails the job with stop reason "timeout".
 	JobTimeout time.Duration
-	// TenantQuota, when > 0, bounds each tenant's live work units —
-	// queued and running jobs, campaign parents and every batch child
-	// each counting one. A submission that would exceed it is rejected
-	// with a *QuotaError (HTTP 429 + Retry-After); other tenants are
-	// unaffected. 0 disables admission control.
-	TenantQuota int
 	// StealAge tunes tail work-stealing: a remote lease request that
 	// finds the queue empty may duplicate a running campaign-batch
 	// attempt whose lease was last renewed at least StealAge ago,
@@ -114,7 +94,7 @@ type Options struct {
 	Spans *obs.SpanWriter
 	// Logger, when non-nil, receives structured leveled log events for
 	// operationally interesting transitions: lease expiry, requeue,
-	// integrity failure, work-steal, tenant rejection. nil is silent.
+	// integrity failure, work-steal. nil is silent.
 	Logger *obs.Logger
 }
 
@@ -178,9 +158,8 @@ type job struct {
 	// Immutable after registration.
 	child bool // a campaign batch child (exempt from QueueDepth)
 
-	// Guarded by s.mu (not j.mu): tenant accounting.
-	tenant   string // quota owner; "" = not charged (cache hits)
-	released bool   // tenant unit already returned (settle ran)
+	// Guarded by s.mu (not j.mu): settle ran, so the job span has ended.
+	settled bool
 }
 
 func newJob(id string, r *resolvedJob, state string, cacheHit bool) *job {
@@ -261,7 +240,6 @@ type Server struct {
 	nextLease int
 	campaigns map[string]*campaign
 	childRefs map[*job]int
-	tenants   map[string]int // tenant → live work units (quota)
 	// Observability: every server counter lives in met's registry —
 	// Stats() and /metrics read the same handles, so the compatibility
 	// snapshot can never disagree with the exposition. spans and log
@@ -305,7 +283,6 @@ func New(opts Options) (*Server, error) {
 		leases:    make(map[string]*leaseRecord),
 		campaigns: make(map[string]*campaign),
 		childRefs: make(map[*job]int),
-		tenants:   make(map[string]int),
 		quit:      make(chan struct{}),
 	}
 	reg.OnScrape(s.observeFleetGauges)
@@ -323,29 +300,13 @@ func New(opts Options) (*Server, error) {
 // HTTP layer serves GET /v1/results/{key} straight from it).
 func (s *Server) Store() StoreBackend { return s.store }
 
-// Submit resolves, deduplicates and enqueues a job for the default
-// tenant; see SubmitAs.
-func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	return s.SubmitAs(spec, "")
-}
-
-// normTenant maps the wire tenant ("" allowed) to the accounting key.
-func normTenant(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	return tenant
-}
-
-// SubmitAs resolves, deduplicates and enqueues a job on behalf of a
-// tenant ("" = "default"), returning its initial status:
+// Submit resolves, deduplicates and enqueues a job, returning its
+// initial status:
 //
 //   - a result already in the store answers immediately with a done,
-//     cache-hit job (no work queued, no quota charged);
+//     cache-hit job (no work queued);
 //   - an identical job still in flight coalesces — the same JobStatus
 //     (same ID) is returned to both submitters;
-//   - a submission that would push the tenant past Options.TenantQuota
-//     fails with *QuotaError;
 //   - otherwise the job enters the bounded queue, or ErrQueueFull.
 //
 // Campaign specs are scheduled rather than queued: the grid's batches
@@ -355,20 +316,19 @@ func normTenant(tenant string) string {
 //
 // Spec errors are reported as *SpecError so transports can distinguish
 // a bad request from server trouble.
-func (s *Server) SubmitAs(spec JobSpec, tenant string) (JobStatus, error) {
-	return s.SubmitTraced(spec, tenant, "")
+func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
+	return s.SubmitTraced(spec, "")
 }
 
-// SubmitTraced is SubmitAs with an explicit trace ID (the value of an
+// SubmitTraced is Submit with an explicit trace ID (the value of an
 // inbound X-Latticesim-Trace header). An empty or malformed traceID
 // mints a fresh one, so every registered job carries a valid trace ID;
 // a coalescing submission joins the live job's existing trace.
-func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, error) {
+func (s *Server) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) {
 	r, err := spec.resolve()
 	if err != nil {
 		return JobStatus{}, &SpecError{Err: err}
 	}
-	tenant = normTenant(tenant)
 	if !obs.ValidTraceID(traceID) {
 		traceID = obs.NewTraceID()
 	}
@@ -396,7 +356,6 @@ func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, 
 	} else if ok {
 		j := s.addJobLocked(r, StateDone, true)
 		j.status.DoneMs = time.Now().UnixMilli()
-		j.status.Tenant = tenant
 		j.status.TraceID = traceID
 		s.met.submitted.Inc()
 		s.met.storeHits.Inc()
@@ -404,18 +363,12 @@ func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, 
 		return j.snapshot(), nil
 	}
 	if spec.Type == "campaign" {
-		return s.submitCampaignLocked(r, tenant, traceID)
-	}
-	if err := s.chargeTenantLocked(tenant, 1); err != nil {
-		return JobStatus{}, err
+		return s.submitCampaignLocked(r, traceID)
 	}
 	if s.freshQueuedLocked() >= s.opts.QueueDepth {
-		s.refundTenantLocked(tenant, 1)
 		return JobStatus{}, ErrQueueFull
 	}
 	j := s.addJobLocked(r, StateQueued, false)
-	j.tenant = tenant
-	j.status.Tenant = tenant
 	j.status.TraceID = traceID
 	s.pending = append(s.pending, j)
 	s.inflight[r.key] = j
@@ -425,35 +378,13 @@ func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, 
 	return j.snapshot(), nil
 }
 
-// chargeTenantLocked admits units more live work units for the tenant,
-// or rejects with *QuotaError when the quota would be exceeded. Caller
-// holds s.mu.
-func (s *Server) chargeTenantLocked(tenant string, units int) error {
-	if q := s.opts.TenantQuota; q > 0 && s.tenants[tenant]+units > q {
-		s.met.quotaRejects.Inc()
-		s.log.Warn("tenant_reject", "tenant", tenant, "live", s.tenants[tenant], "requested", units, "limit", q)
-		return &QuotaError{Tenant: tenant, Limit: q, Live: s.tenants[tenant]}
-	}
-	s.tenants[tenant] += units
-	return nil
-}
-
-// refundTenantLocked returns units to the tenant's budget. Caller holds
-// s.mu.
-func (s *Server) refundTenantLocked(tenant string, units int) {
-	if n := s.tenants[tenant] - units; n > 0 {
-		s.tenants[tenant] = n
-	} else {
-		delete(s.tenants, tenant)
-	}
-}
-
 // freshQueuedLocked counts pending jobs that have never run — the
 // population the QueueDepth bound applies to. Canceled-but-undrained
 // entries, crash-recovery requeues (Attempt ≥ 1) and campaign batch
-// children (admitted by the tenant quota, not the queue bound) are
-// exempt, so cancellation frees queue room immediately and recovery
-// can't be starved by a full queue. Caller holds s.mu.
+// children (their campaign was the one admission decision) are exempt,
+// so cancellation frees queue room immediately, recovery can't be
+// starved by a full queue, and an admitted campaign is never cut off
+// halfway. Caller holds s.mu.
 func (s *Server) freshQueuedLocked() int {
 	n := 0
 	for _, j := range s.pending {
@@ -606,13 +537,11 @@ type Stats struct {
 	// leased out, to in-process and remote nodes alike; Steals
 	// counts tail work-steals (straggler attempts duplicated to an idle
 	// node); Campaigns counts campaigns ever scheduled (store hits
-	// excluded); QuotaRejections counts submissions refused by tenant
-	// admission control.
-	Workers         int `json:"workers"`
-	ActiveLeases    int `json:"active_leases"`
-	Steals          int `json:"steals"`
-	Campaigns       int `json:"campaigns"`
-	QuotaRejections int `json:"quota_rejections"`
+	// excluded).
+	Workers      int `json:"workers"`
+	ActiveLeases int `json:"active_leases"`
+	Steals       int `json:"steals"`
+	Campaigns    int `json:"campaigns"`
 	// StoreHits counts submissions answered from the result store;
 	// StorePuts counts results written by this process.
 	StoreHits int `json:"store_hits"`
@@ -635,7 +564,6 @@ func (s *Server) Stats() Stats {
 	st.IntegrityFailures = int(s.met.integrityFails.Value())
 	st.Steals = int(s.met.steals.Value())
 	st.Campaigns = int(s.met.campaigns.Value())
-	st.QuotaRejections = int(s.met.quotaRejects.Value())
 	s.mu.Lock()
 	st.Workers = len(s.workers)
 	for _, l := range s.leases {
@@ -891,20 +819,15 @@ func (s *Server) requeue(j *job) {
 // transition: the in-flight dedup slot is freed (always after the
 // transition — and, for done jobs, after the store write — so a
 // coalescing submission either joins the live job or hits the stored
-// result, never reruns a completed spec), and the tenant's quota unit
-// is returned exactly once however many terminal paths race.
+// result, never reruns a completed spec), and the job span ends exactly
+// once, although an integrity failure settles a done job a second time.
 func (s *Server) settle(j *job) {
 	s.mu.Lock()
 	if s.inflight[j.res.key] == j {
 		delete(s.inflight, j.res.key)
 	}
-	first := !j.released
-	if first {
-		j.released = true
-		if j.tenant != "" {
-			s.refundTenantLocked(j.tenant, 1)
-		}
-	}
+	first := !j.settled
+	j.settled = true
 	s.mu.Unlock()
 	if first {
 		// Exactly-once per job, whatever terminal paths raced: close the

@@ -17,8 +17,8 @@ import (
 // Jobs and results:
 //
 //	POST /v1/jobs            submit a JobSpec; 200 JobStatus, 400 bad
-//	                         spec, 429 over quota, 503 queue full or
-//	                         shutting down (both retryable)
+//	                         spec, 503 queue full or shutting down
+//	                         (both retryable)
 //	GET  /v1/jobs            list all jobs in submission order
 //	GET  /v1/jobs/{id}       one job's status; with ?watch=1, an NDJSON
 //	                         stream of snapshots ending at the terminal
@@ -55,12 +55,9 @@ import (
 //	                         registry /v1/stats is derived from
 //	GET  /healthz            liveness probe
 //
-// The X-Tenant request header names the submitting tenant ("" =
-// "default") for quota accounting on POST /v1/jobs and
-// POST /v1/campaigns. The X-Latticesim-Trace header carries trace IDs:
-// inbound on submissions (joining the caller's trace), outbound on
-// submission responses and lease grants (propagating the job's trace
-// to workers).
+// The X-Latticesim-Trace header carries trace IDs: inbound on
+// submissions (joining the caller's trace), outbound on submission
+// responses and lease grants (propagating the job's trace to workers).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -105,14 +102,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return true
 }
 
-// writeSubmitError maps Submit/SubmitAs errors onto the envelope.
+// writeSubmitError maps Submit errors onto the envelope.
 func writeSubmitError(w http.ResponseWriter, err error) {
-	var qe *QuotaError
 	switch {
 	case errors.As(err, new(*SpecError)):
 		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "invalid job: %v", err)
-	case errors.As(err, &qe):
-		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded, time.Second, "%v", err)
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusServiceUnavailable, CodeQueueFull, time.Second, "%v", err)
 	case errors.Is(err, ErrClosed):
@@ -127,7 +121,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxSpecBytes, &spec) {
 		return
 	}
-	st, err := s.SubmitTraced(spec, r.Header.Get("X-Tenant"), r.Header.Get(obs.TraceHeader))
+	st, err := s.SubmitTraced(spec, r.Header.Get(obs.TraceHeader))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -143,8 +137,7 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxSpecBytes, &cj) {
 		return
 	}
-	st, err := s.SubmitTraced(JobSpec{Type: "campaign", Campaign: &cj},
-		r.Header.Get("X-Tenant"), r.Header.Get(obs.TraceHeader))
+	st, err := s.SubmitTraced(JobSpec{Type: "campaign", Campaign: &cj}, r.Header.Get(obs.TraceHeader))
 	if err != nil {
 		writeSubmitError(w, err)
 		return

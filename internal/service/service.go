@@ -272,9 +272,6 @@ type JobStatus struct {
 	// for the server's in-process nodes, the registered worker ID for a
 	// remote node, empty while never dispatched.
 	Worker string `json:"worker,omitempty"`
-	// Tenant is the submitting tenant (the X-Tenant header; "default"
-	// when unset). Quotas and admission control are per tenant.
-	Tenant string `json:"tenant,omitempty"`
 	// TraceID is the job's trace ID: 32 hex chars, minted at submission
 	// (or adopted from the X-Latticesim-Trace request header). Every
 	// span event the job's execution emits — attempts, leases, worker

@@ -90,21 +90,6 @@ func Median(xs []float64) float64 {
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
 
-// StdDev returns the sample standard deviation of xs (0 if fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
-}
-
 // Percentile returns the q-th percentile (q in [0,100]) using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, q float64) float64 {
@@ -127,50 +112,6 @@ func Percentile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return tmp[lo]*(1-frac) + tmp[hi]*frac
-}
-
-// Histogram is a fixed-bin histogram over [Min, Max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-	// Underflow and Overflow count samples outside [Min, Max).
-	Underflow, Overflow int
-}
-
-// NewHistogram creates a histogram with the given bin count over [min, max).
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	if max <= min {
-		max = min + 1
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Total++
-	if x < h.Min {
-		h.Underflow++
-		return
-	}
-	if x >= h.Max {
-		h.Overflow++
-		return
-	}
-	idx := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + w*(float64(i)+0.5)
 }
 
 // SampleLogNormal draws from a lognormal distribution with the given

@@ -52,10 +52,7 @@ func TestSummaryStats(t *testing.T) {
 	if Median([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("median even")
 	}
-	if math.Abs(StdDev(xs)-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatal("stddev")
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("degenerate inputs")
 	}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 || Percentile(xs, 50) != 3 {
@@ -68,22 +65,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	Median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Total != 7 || h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("totals: %+v", h)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts: %v", h.Counts)
-	}
-	if h.BinCenter(0) != 1 {
-		t.Fatalf("bin center: %v", h.BinCenter(0))
 	}
 }
 

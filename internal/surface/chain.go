@@ -49,13 +49,6 @@ type ChainResult struct {
 	MergeRound int
 }
 
-// JointObs returns the observable index of seam s (between patches s and
-// s+1).
-func (r *ChainResult) JointObs(s int) int { return s }
-
-// SingleObs returns the observable index of patch 0's logical.
-func (r *ChainResult) SingleObs() int { return r.K - 1 }
-
 func (s *ChainSpec) defaults() error {
 	if s.D < 3 || s.D%2 == 0 {
 		return fmt.Errorf("surface: distance %d must be odd and ≥ 3", s.D)

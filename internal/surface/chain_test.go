@@ -43,9 +43,6 @@ func TestChainObservableCount(t *testing.T) {
 	if got := res.Circuit.NumObservables(); got != 4 {
 		t.Fatalf("observables = %d, want 4", got)
 	}
-	if res.JointObs(0) != 0 || res.JointObs(2) != 2 || res.SingleObs() != 3 {
-		t.Fatal("observable index helpers wrong")
-	}
 }
 
 // TestChainK2MatchesMergeSpec: a 2-patch chain must be semantically

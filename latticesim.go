@@ -275,11 +275,11 @@ func NewTraceResultSet(prog *TraceProgram, cfg TraceConfig, source string, resul
 }
 
 // Simulation service: an embeddable coordinator with a bounded job
-// queue, a content-addressed result store, streaming progress, tenant
-// admission control and a pull-based worker fleet (the engine behind
-// `latticesim serve` / `latticesim submit` / `latticesim worker`; see
-// API.md and DESIGN.md §11, §14, §15). Identical job submissions are
-// served from the store bit-identically.
+// queue, a content-addressed result store, streaming progress and a
+// pull-based worker fleet (the engine behind `latticesim serve` /
+// `latticesim submit` / `latticesim worker`; see API.md and DESIGN.md
+// §11, §14, §15). Identical job submissions are served from the store
+// bit-identically.
 //
 // Naming convention: every service-side type is Service*, every
 // worker-node type is Worker*.
@@ -315,7 +315,7 @@ type (
 	ServiceCampaignStatus = service.CampaignStatus
 	// ServiceStats are the server's queue/fleet/store/build-cache
 	// counters, including recovery counters (attempts, requeues,
-	// cancellations, integrity checks, steals, quota rejections).
+	// cancellations, integrity checks, steals).
 	ServiceStats = service.Stats
 	// ServiceRetryPolicy configures client-side retries with jittered
 	// exponential backoff; set it on ServiceClient.Retry.
@@ -331,9 +331,6 @@ type (
 	// status and decoded ServiceAPIError of a failed request; inspect
 	// its code with ServiceErrorCode.
 	ServiceStatusError = service.APIStatusError
-	// ServiceQuotaError reports a tenant over its admission-control
-	// quota (HTTP 429 with code "quota_exceeded" on the wire).
-	ServiceQuotaError = service.QuotaError
 	// ServiceStoreBackend is the result-store interface the service
 	// runs on: the built-in disk/memory store or a ServiceRemoteStore
 	// proxying another node's store over HTTP.
@@ -373,7 +370,7 @@ func NewServiceRemoteStore(base string) *ServiceRemoteStore {
 func DefaultServiceRetryPolicy() *ServiceRetryPolicy { return service.DefaultRetryPolicy() }
 
 // ServiceErrorCode extracts the stable machine-readable error code
-// ("quota_exceeded", "queue_full", ...) from an error returned by a
+// ("queue_full", "not_found", ...) from an error returned by a
 // ServiceClient, or "" if the error carries none.
 func ServiceErrorCode(err error) string { return service.ErrorCode(err) }
 
