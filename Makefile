@@ -99,9 +99,10 @@ diff-long:
 # results stay byte-identical to a fault-free run, the queue leaks no
 # slots, and every job and attempt span starts and ends exactly once.
 # A failing schedule writes its replayable fault plan to
-# CHAOS_ARTIFACT_DIR. It then repeats the fleet test five times: whether
-# the killed node's unit is stolen or expires depends on timing, and
-# each branch must end every attempt span once. chaos-long is the full
+# CHAOS_ARTIFACT_DIR. It then repeats the fleet test five times: which
+# unit the killed node holds, and which node re-leases it after expiry,
+# depend on timing, and every interleaving must end each attempt span
+# once. chaos-long is the full
 # "hundreds of schedules" sweep; CI runs the short form on every push.
 CHAOS_SCHEDULES ?= 60
 CHAOS_ARTIFACT_DIR ?= chaos-artifacts

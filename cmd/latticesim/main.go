@@ -13,7 +13,7 @@
 //	latticesim serve [serve flags]
 //	latticesim worker [worker flags]
 //	latticesim submit sweep|trace|campaign [submit flags]
-//	latticesim status [coordinator-url]
+//	latticesim status [-server URL] [-watch D]
 //
 // Experiment IDs follow the paper (fig14, table2, ...). Shots and maximum
 // code distance default to laptop-scale values; the paper's settings are

@@ -39,7 +39,7 @@ API (see API.md for the full contract; DESIGN.md §11, §14, §15):
   POST   /v1/workers           register a worker node
   POST   /v1/workers/{id}/lease  lease one work unit
   POST   /v1/leases/{id}       report on a leased unit
-  GET/PUT /v1/results/{key}    stored result JSON
+  GET    /v1/results/{key}     stored result JSON
   GET    /v1/stats             queue/fleet/store/build-cache counters
   GET    /metrics              Prometheus text exposition
   GET    /healthz              liveness probe
@@ -67,7 +67,6 @@ Flags:`)
 		maxAttempts = fs.Int("max-attempts", 0, "failed execution attempts per job before it fails terminally; panics, errors and missed leases each consume one (0 = 3)")
 		lease       = fs.Duration("lease", 0, "heartbeat lease per running attempt; an attempt that misses it is declared dead and the job requeued (0 = 30s)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "default wall-time bound per attempt, overridable per job via timeout_ms (0 = unbounded)")
-		stealAge    = fs.Duration("steal-age", 0, "idle worker nodes may duplicate a running campaign-batch attempt whose lease was last renewed at least this long ago (0 = lease/2; negative disables stealing)")
 
 		of = addObsFlags(fs)
 	)
@@ -88,7 +87,7 @@ Flags:`)
 	svc, err := service.New(service.Options{
 		DataDir: *data, Workers: lw, QueueDepth: *queue, MCWorkers: *mcw,
 		MaxAttempts: *maxAttempts, Lease: *lease, JobTimeout: *jobTimeout,
-		StealAge: *stealAge, Spans: sinks.Spans, Logger: sinks.Logger,
+		Spans: sinks.Spans, Logger: sinks.Logger,
 	})
 	if err != nil {
 		return err

@@ -22,32 +22,29 @@ import (
 func runStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), `usage: latticesim status [flags] [coordinator-url]
+		fmt.Fprintln(fs.Output(), `usage: latticesim status [-server URL] [-watch D]
 
 Prints a snapshot of a running `+"`latticesim serve`"+` fleet: queue and
 job-state counts, attempt/requeue/integrity counters, worker nodes with
 their outcome tallies, and the live decode throughput of running jobs
-(read from the coordinator's GET /metrics). The URL defaults to
-http://127.0.0.1:8642.
+(read from the coordinator's GET /metrics). A -server without a scheme
+(host:port) means http://.
 
 Flags:`)
 		fs.PrintDefaults()
 	}
+	server := fs.String("server", "http://127.0.0.1:8642", "coordinator base URL")
 	watch := fs.Duration("watch", 0, "re-poll and re-print every interval (0 = print once and exit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	addr := "http://127.0.0.1:8642"
-	switch fs.NArg() {
-	case 0:
-	case 1:
-		addr = fs.Arg(0)
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
-	default:
+	if fs.NArg() > 0 {
 		fs.Usage()
-		return fmt.Errorf("expected at most one coordinator URL, got %d arguments", fs.NArg())
+		return fmt.Errorf("unexpected argument %q: name the coordinator with -server", fs.Arg(0))
+	}
+	addr := *server
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
 
 	client := service.NewClient(addr)
@@ -75,8 +72,8 @@ func printStatus(ctx context.Context, w io.Writer, client *service.Client, addr 
 		st.Jobs, st.BatchChildren, st.Queued, st.Running, st.Done, st.Failed, st.Canceled, st.IntegrityErrors)
 	fmt.Fprintf(w, "  work      attempts %d  requeues %d  cancellations %d  integrity checks %d / failures %d\n",
 		st.Attempts, st.Requeues, st.Cancellations, st.IntegrityChecks, st.IntegrityFailures)
-	fmt.Fprintf(w, "  fleet     workers %d  active leases %d  steals %d  campaigns %d\n",
-		st.Workers, st.ActiveLeases, st.Steals, st.Campaigns)
+	fmt.Fprintf(w, "  fleet     workers %d  active leases %d  campaigns %d\n",
+		st.Workers, st.ActiveLeases, st.Campaigns)
 	fmt.Fprintf(w, "  store     hits %d  puts %d  corruptions %d   build cache %d hits / %d misses\n",
 		st.StoreHits, st.StorePuts, st.StoreCorruptions, st.BuildHits, st.BuildMisses)
 

@@ -223,17 +223,6 @@ func TestEqualCyclesForbidExtraRounds(t *testing.T) {
 	}
 }
 
-// TestPerRoundIdleSplit checks the Active split arithmetic.
-func TestPerRoundIdleSplit(t *testing.T) {
-	plan := Compute(Active, Params{TPNs: 1000, TPPrimeNs: 1000, TauNs: 800})
-	if got := plan.PerRoundIdle(8); got != 100 {
-		t.Fatalf("per-round idle %v, want 100", got)
-	}
-	if got := plan.PerRoundIdle(0); got != 0 {
-		t.Fatalf("per-round idle for 0 rounds %v, want 0", got)
-	}
-}
-
 // TestPairPlanAlignment: every policy's resolved pair plan aligns the two
 // patches exactly at the merge point.
 func TestPairPlanAlignment(t *testing.T) {

@@ -97,8 +97,7 @@ type Plan struct {
 	Policy Policy
 	// LumpedIdleNs idles P once, right before the merge round.
 	LumpedIdleNs float64
-	// SpreadIdleNs is distributed equally before every pre-merge round of
-	// P (use PerRoundIdle to materialize it).
+	// SpreadIdleNs is distributed equally before every pre-merge round of P.
 	SpreadIdleNs float64
 	// IntraIdleNs is distributed inside P's final pre-merge round.
 	IntraIdleNs float64
@@ -114,15 +113,6 @@ type Plan struct {
 // TotalIdleNs returns the total idle time the plan injects into P.
 func (p Plan) TotalIdleNs() float64 {
 	return p.LumpedIdleNs + p.SpreadIdleNs + p.IntraIdleNs
-}
-
-// PerRoundIdle splits the spread idle across the given number of
-// pre-merge rounds.
-func (p Plan) PerRoundIdle(rounds int) float64 {
-	if rounds <= 0 || p.SpreadIdleNs == 0 {
-		return 0
-	}
-	return p.SpreadIdleNs / float64(rounds)
 }
 
 // Compute derives the synchronization plan for the given policy. The

@@ -13,6 +13,7 @@ import (
 	"latticesim/internal/hardware"
 	"latticesim/internal/mc"
 	"latticesim/internal/surface"
+	"latticesim/internal/sweep"
 )
 
 var quickOpts = Options{Shots: 3000, MaxD: 3, Seed: 11}
@@ -126,6 +127,64 @@ func TestPassiveSpikesAtMergeRound(t *testing.T) {
 	if pw <= aw {
 		t.Fatalf("Passive merge-round weight %v must exceed Active %v", pw, aw)
 	}
+}
+
+// TestPaperClaims is the claims table: comparative results of the
+// paper that the repo resolves at CI scale. Each row names two sweep
+// points and an observable, and the first point's 95% Wilson interval
+// must lie wholly above the second's. The digests of
+// TestAllExperimentsRun catch any change of output bits; these rows
+// are what a deliberate model or decoder change, which must move bits,
+// still has to keep. Rows go in only where the difference is resolved
+// (EXPERIMENTS.md, Table 2).
+func TestPaperClaims(t *testing.T) {
+	const shots = 20000
+	for _, row := range []struct {
+		name         string
+		above, below sweep.Point
+		ler          func(sweep.Record) (rate, lo, hi float64)
+	}{
+		{"table2 d=3 ExtraRounds above Hybrid", table2At(core.ExtraRounds, 3), table2At(core.Hybrid, 3), jointLER},
+		{"table2 d=5 ExtraRounds above Hybrid", table2At(core.ExtraRounds, 5), table2At(core.Hybrid, 5), jointLER},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if raceEnabled && max(row.above.D, row.below.D) > 3 {
+				t.Skip("d > 3 is too slow under the race detector")
+			}
+			cfg := sweep.Config{Shots: shots, Seed: quickOpts.Seed}
+			var recs [2]sweep.Record
+			for i, pt := range []sweep.Point{row.above, row.below} {
+				var err error
+				if recs[i], err = sweep.ExecutePoint(presetCache, pt, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ar, alo, ahi := row.ler(recs[0])
+			br, blo, bhi := row.ler(recs[1])
+			t.Logf("%v %.4g [%.4g, %.4g] against %v %.4g [%.4g, %.4g]",
+				row.above.Policy, ar, alo, ahi, row.below.Policy, br, blo, bhi)
+			if alo <= bhi {
+				t.Fatalf("%v's interval [%.4g, %.4g] is not above %v's [%.4g, %.4g]",
+					row.above.Policy, alo, ahi, row.below.Policy, blo, bhi)
+			}
+		})
+	}
+}
+
+// table2At is Table 2's sweep point under policy pol at distance d:
+// scaled IBM (T_P = 1000 ns), T_P′ = 1325 ns, τ = 1000 ns, p = 1e-3,
+// X basis, ε = 400 ns.
+func table2At(pol core.Policy, d int) sweep.Point {
+	return sweep.Point{
+		HW: hardware.IBM().Scaled(1000), Policy: pol, D: d, TauNs: 1000, P: paperP,
+		Basis: surface.BasisX, CyclePNs: 1000, CyclePPrimeNs: 1325, EpsNs: 400,
+	}
+}
+
+// jointLER reads a record's joint-observable LER and its 95% Wilson
+// bounds.
+func jointLER(r sweep.Record) (rate, lo, hi float64) {
+	return r.JointRate, r.JointWilsonLow, r.JointWilsonHigh
 }
 
 func TestSpecForPolicyShapes(t *testing.T) {

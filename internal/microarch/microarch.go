@@ -9,11 +9,11 @@
 // the exact arithmetic a hardware implementation would perform. Fig. 20's
 // right panel (planning time vs patch count) benchmarks PlanSync.
 //
-// Lifecycle: NewEngine allocates the tables, Register/Invalidate manage
-// patch rows, Tick advances the global clock, and PlanSync turns the
-// tracked phase state into a Schedule that VerifySchedule replays for
-// exactness. The public facade re-exports Engine and Schedule; see
-// DESIGN.md §2 for where the package sits in the architecture.
+// Lifecycle: NewEngine allocates the tables, Register fills patch rows,
+// Tick advances the global clock, and PlanSync turns the tracked phase
+// state into a Schedule that VerifySchedule replays for exactness. The
+// public facade re-exports Engine and Schedule; see DESIGN.md §2 for
+// where the package sits in the architecture.
 package microarch
 
 import (
@@ -73,15 +73,6 @@ func (e *Engine) Register(cycleNs int64) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("microarch: patch counter table full (%d entries)", len(e.patches))
-}
-
-// Invalidate clears a patch entry (after a merge/split consumed it, §5).
-func (e *Engine) Invalidate(id int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if id >= 0 && id < len(e.patches) {
-		e.patches[id] = PatchEntry{}
-	}
 }
 
 // Tick advances the global clock by n ticks; counters wrap at their

@@ -59,19 +59,6 @@ func TestTableFull(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	e := NewEngine(1)
-	id, _ := e.Register(1000)
-	e.Invalidate(id)
-	if _, err := e.State(id); err == nil {
-		t.Fatal("state of invalidated patch must error")
-	}
-	// The slot must be reusable.
-	if _, err := e.Register(1200); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCounterWidthEnforced(t *testing.T) {
 	e := NewEngine(1)
 	if _, err := e.Register(1 << 20); err == nil {

@@ -10,10 +10,9 @@
 // independent of the physical error rate).
 //
 // ClocksFor derives both cycle durations from a hardware.Config;
-// Clocks.SlackAtRound and Clocks.SlackSeries evaluate the sawtooth, and
-// Clocks.RoundsPerWrap gives its period. The fig4b runner in
-// internal/exp plots the series; see DESIGN.md §2 for where the package
-// sits in the architecture.
+// Clocks.SlackAtRound evaluates the sawtooth, and Clocks.RoundsPerWrap
+// gives its period. The fig4b runner in internal/exp plots the series;
+// see DESIGN.md §2 for where the package sits in the architecture.
 package qldpc
 
 import "latticesim/internal/hardware"
@@ -45,15 +44,6 @@ func (c Clocks) SlackAtRound(r int) float64 {
 	drift := float64(r) * (c.QLDPCCycleNs - c.SurfaceCycleNs)
 	mod := drift - float64(int(drift/c.SurfaceCycleNs))*c.SurfaceCycleNs
 	return mod
-}
-
-// SlackSeries returns the slack for rounds 0..rounds-1 (Fig. 4(b)).
-func (c Clocks) SlackSeries(rounds int) []float64 {
-	out := make([]float64, rounds)
-	for r := range out {
-		out[r] = c.SlackAtRound(r)
-	}
-	return out
 }
 
 // RoundsPerWrap returns how many rounds pass before the slack wraps

@@ -54,19 +54,6 @@ func TestSlackBounded(t *testing.T) {
 	}
 }
 
-func TestSlackSeries(t *testing.T) {
-	c := ClocksFor(hardware.Google())
-	series := c.SlackSeries(100)
-	if len(series) != 100 {
-		t.Fatal("wrong length")
-	}
-	for r, s := range series {
-		if s != c.SlackAtRound(r) {
-			t.Fatal("series disagrees with SlackAtRound")
-		}
-	}
-}
-
 // TestGoogleWrapsFasterThanIBM: Google's shorter cycle wraps in fewer
 // rounds relative to its drift (Fig. 4(b) shows more sawteeth for the
 // platform with the larger drift/cycle ratio).

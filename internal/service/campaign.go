@@ -209,7 +209,7 @@ func (s *Server) runCampaign(c *campaign) {
 			return
 		}
 
-		// Publish progress (monotone — stealing can reset a child's count).
+		// Publish progress (monotone — a requeue resets a child's count).
 		c.parent.mu.Lock()
 		if !c.parent.status.Terminal() && pointsDone > c.parent.status.Progress.Done {
 			c.parent.status.Progress.Done = pointsDone

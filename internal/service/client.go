@@ -138,8 +138,8 @@ func ErrorCode(err error) string {
 }
 
 // apiErr converts a non-2xx response into an *APIStatusError — the one
-// parser of error bodies, shared by Client and RemoteStore. It decodes
-// the JSON error envelope; any other body becomes the message verbatim.
+// parser of error bodies, used by every Client call. It decodes the
+// JSON error envelope; any other body becomes the message verbatim.
 func apiErr(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	se := &APIStatusError{StatusCode: resp.StatusCode}

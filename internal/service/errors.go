@@ -30,9 +30,6 @@ const (
 	// CodeShuttingDown marks a request refused because the server is
 	// closing.
 	CodeShuttingDown = "shutting_down"
-	// CodeStoreMismatch marks a result write whose bytes differ from the
-	// object already stored under the key — a determinism violation.
-	CodeStoreMismatch = "store_mismatch"
 	// CodeInternal marks everything else.
 	CodeInternal = "internal"
 )

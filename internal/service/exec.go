@@ -14,9 +14,7 @@ import (
 // UnitRunner is the one execution path every leased work unit takes,
 // on the coordinator's in-process nodes (Options.Workers) and on
 // internal/worker's remote nodes alike. The before-hook runs first,
-// then a store probe: a result already stored completes the unit
-// without recomputing it (the other side of a steal race). Only then
-// does the unit execute. Hook and execution share one panic guard and
+// then the unit executes. Hook and execution share one panic guard and
 // one wall-time bound, the grant's spec.timeout_ms (the spec's own
 // timeout, or else the coordinator's JobTimeout). Execution is
 // deterministic: volatile fields (wall times) are zeroed or absent, so
@@ -31,9 +29,6 @@ type UnitRunner struct {
 	// Metrics, when non-nil, receives the pipeline's shard-duration and
 	// predecoder series (nil disables instrumentation at zero cost).
 	Metrics *obs.Registry
-	// Store, when non-nil, is probed after the before-hook: a unit whose
-	// result is already stored reports complete with the stored bytes.
-	Store StoreBackend
 	// Before, when non-nil, runs first, under the unit's timeout — a
 	// test seam for stalling, failing or panicking a unit. A returned
 	// error fails the unit without executing it.
@@ -75,11 +70,6 @@ func (ur *UnitRunner) run(ctx context.Context, g *LeaseGrant, r *resolvedJob, on
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if ur.Store != nil {
-			if data, ok, err := ur.Store.Get(g.Key); err == nil && ok {
-				return data, nil
-			}
 		}
 		if r == nil {
 			if r, err = resolveUnit(g.Spec); err != nil {

@@ -31,8 +31,8 @@ type WorkerInfo struct {
 	// determinism guarantee, like every timing field in the repo.
 	RegisteredMs int64 `json:"registered_ms"`
 	LastSeenMs   int64 `json:"last_seen_ms"`
-	// Leased counts work units ever granted to the node (steals
-	// included); Completed and Failed count the outcomes it reported.
+	// Leased counts work units ever granted to the node; Completed and
+	// Failed count the outcomes it reported.
 	Leased    int `json:"leased"`
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
@@ -74,11 +74,6 @@ type LeaseGrant struct {
 	// (heartbeat, progress, or completion) within this many milliseconds
 	// of every previous report or the watchdog reclaims the unit.
 	LeaseMs int64 `json:"lease_ms"`
-	// Stolen marks a tail work-steal: the unit is (nominally) still
-	// running elsewhere and this node is racing the straggler. Results
-	// are unaffected — the loser's bytes are integrity-checked, not
-	// stored twice.
-	Stolen bool `json:"stolen,omitempty"`
 	// TraceID is the job's trace ID, minted at submission. The HTTP
 	// layer also carries it in the X-Latticesim-Trace response header;
 	// workers stamp it on their unit span events so one grep reassembles
@@ -108,9 +103,9 @@ type LeaseUpdate struct {
 }
 
 // LeaseAck answers a LeaseUpdate. Valid=false tells the worker its
-// lease no longer owns the job — expired, stolen and finished
-// elsewhere, canceled, or simply unknown — and it should abandon the
-// unit (dropping any partial work) and lease fresh work instead.
+// lease no longer owns the job — expired and re-leased, canceled, or
+// simply unknown — and it should abandon the unit (dropping any
+// partial work) and lease fresh work instead.
 type LeaseAck struct {
 	Valid bool `json:"valid"`
 }
@@ -150,14 +145,10 @@ func (s *Server) Workers() []WorkerInfo {
 	return out
 }
 
-// LeaseWork grants one work unit to the worker: the oldest runnable
-// queued job, or — when the queue is empty and stealing is enabled — a
-// duplicate of the oldest straggling campaign-batch attempt (one whose
-// lease was last renewed at least Options.StealAge ago, suggesting its
-// holder is slow or silently dead). A steal mints a fresh attempt
-// token, so whichever execution finishes second is fenced off and
-// byte-compared against the store instead of applied. Returns (nil,
-// nil) when there is nothing to lease.
+// LeaseWork grants the oldest runnable queued job to the worker, or
+// returns (nil, nil) when there is nothing to lease. Work a silent
+// node holds comes back only when its lease expires: the watchdog
+// requeues it, and the next lease request takes it as a fresh attempt.
 func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 	now := time.Now()
 	s.mu.Lock()
@@ -171,38 +162,11 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 	}
 	w.info.LastSeenMs = now.UnixMilli()
 
-	if g, _ := s.popGrantLocked(workerID, now, nil); g != nil {
+	g, _ := s.popGrantLocked(workerID, now, nil)
+	if g != nil {
 		w.info.Leased++
-		return g, nil
 	}
-
-	// Tail work-stealing: duplicate a straggling batch child. Only here,
-	// never on an in-process node's wake: the scan walks the registry.
-	if s.opts.StealAge < 0 {
-		return nil, nil
-	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if !j.child {
-			continue
-		}
-		j.mu.Lock()
-		victim := j.status.Worker
-		stale := j.status.State == StateRunning &&
-			victim != workerID &&
-			!now.Before(j.lease.Add(s.opts.StealAge-s.opts.Lease))
-		j.mu.Unlock()
-		if !stale {
-			continue
-		}
-		if g := s.grantLocked(workerID, j, now, true, nil); g != nil {
-			s.met.steals.Inc()
-			s.log.Info("work_steal", "job", id, "worker", workerID, "victim", victim)
-			w.info.Leased++
-			return g, nil
-		}
-	}
-	return nil, nil
+	return g, nil
 }
 
 // popGrantLocked grants the oldest runnable queued job to worker wkr,
@@ -214,48 +178,37 @@ func (s *Server) popGrantLocked(wkr string, now time.Time, cancel context.Cancel
 		copy(s.pending, s.pending[1:])
 		s.pending[len(s.pending)-1] = nil
 		s.pending = s.pending[:len(s.pending)-1]
-		if g := s.grantLocked(wkr, j, now, false, cancel); g != nil {
+		if g := s.grantLocked(wkr, j, now, cancel); g != nil {
 			return g, j
 		}
 	}
 	return nil, nil
 }
 
-// grantLocked starts the next attempt of j on worker wkr — a queued
-// job, or for a steal a running one — mints its attempt token, arms
-// the lease and records it, and returns the grant (nil when j is not in
-// the expected state). cancel is the attempt's cancel func: an
-// in-process node's context, nil for a remote node, whose reclamation
-// is the lease expiring. A steal keeps the previous holder's, and ends
-// the superseded attempt's span — the one state change outside
-// transition, because the job stays running. Caller holds s.mu.
-func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, cancel context.CancelFunc) *LeaseGrant {
-	want := StateQueued
-	if steal {
-		want = StateRunning
-	}
+// grantLocked starts the next attempt of queued job j on worker wkr:
+// the queued → running change, the one state change outside
+// transition. It mints the attempt token, arms the lease and records
+// it, and returns the grant (nil when j is no longer queued). cancel is
+// the attempt's cancel func: an in-process node's context, nil for a
+// remote node, whose reclamation is the lease expiring. Caller holds
+// s.mu.
+func (s *Server) grantLocked(wkr string, j *job, now time.Time, cancel context.CancelFunc) *LeaseGrant {
 	j.mu.Lock()
-	if j.status.State != want {
+	if j.status.State != StateQueued {
 		j.mu.Unlock()
 		return nil
 	}
-	prev, prevStart := j.status, j.attemptStart
 	j.status.State = StateRunning
 	j.status.Attempt++
 	j.status.Progress = Progress{}
 	j.status.Worker = wkr
-	if !steal {
-		j.cancel = cancel
-	}
+	j.cancel = cancel
 	j.lease = now.Add(s.opts.Lease)
 	j.attemptStart = now
 	st := j.status
 	j.broadcastLocked()
 	j.mu.Unlock()
 
-	if steal {
-		s.endAttemptSpan(prev, prevStart, "stolen")
-	}
 	s.nextLease++
 	l := &leaseRecord{id: fmt.Sprintf("l%06d", s.nextLease), j: j, att: st.Attempt, wkr: wkr, granted: now}
 	s.leases[l.id] = l
@@ -274,7 +227,6 @@ func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, canc
 		Spec:    spec,
 		Attempt: l.att,
 		LeaseMs: s.opts.Lease.Milliseconds(),
-		Stolen:  steal,
 		TraceID: st.TraceID,
 	}
 }
@@ -291,7 +243,7 @@ func (s *Server) grantLocked(wkr string, j *job, now time.Time, steal bool, canc
 func (s *Server) localNode() {
 	defer s.wg.Done()
 	runner := UnitRunner{
-		Cache: s.opts.Cache, MCWorkers: s.opts.MCWorkers, Metrics: s.met.reg, Store: s.store,
+		Cache: s.opts.Cache, MCWorkers: s.opts.MCWorkers, Metrics: s.met.reg,
 		Before: func(ctx context.Context, g *LeaseGrant) error {
 			s.opts.Hooks.beforeExec(ctx, g.JobID, g.Attempt)
 			return nil
@@ -331,10 +283,11 @@ func (s *Server) leaseLocal(cancel context.CancelFunc) (*LeaseGrant, *job) {
 // it, or restarted — the worker just learns Valid=false and moves on.
 // A terminal report retires the lease record: store-then-transition on
 // success, timeout or retry-or-fail on failure, and the integrity
-// cross-check for reports whose attempt token was superseded (a stolen
-// unit's straggler, an expired lease's zombie). A mismatch there names
-// the reporting worker in the integrity_error, so a nondeterministic
-// (or corrupting) node is identifiable fleet-wide.
+// cross-check for reports whose attempt token was superseded (an
+// expired lease's zombie finishing after its retry). A mismatch there
+// names the reporting worker in the integrity_error, so a
+// nondeterministic (or corrupting) node is identifiable fleet-wide. A
+// fenced completion is the one way a result enters the store.
 func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 	now := time.Now()
 	s.mu.Lock()

@@ -115,7 +115,6 @@ func TestErrorEnvelopeOnEveryEndpoint(t *testing.T) {
 		{"lease bad event", "POST", "/v1/leases/l000001", `{"event":"nope"}`, http.StatusBadRequest, CodeBadRequest},
 		{"result bad key", "GET", "/v1/results/nothex", "", http.StatusBadRequest, CodeBadRequest},
 		{"result not found", "GET", "/v1/results/" + strings.Repeat("ab", 32), "", http.StatusNotFound, CodeNotFound},
-		{"put result bad key", "PUT", "/v1/results/nothex", "data", http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,13 +146,31 @@ func TestErrorEnvelopeOnEveryEndpoint(t *testing.T) {
 	}
 }
 
+// TestPutResultRetired checks that the retired result-write route is
+// gone: a PUT to /v1/results/{key} is refused as a method the resource
+// does not allow, so a result can enter the store only through a
+// fenced lease report.
+func TestPutResultRetired(t *testing.T) {
+	_, client := newTestServer(t, Options{Workers: -1})
+	req, _ := http.NewRequest(http.MethodPut, client.BaseURL+"/v1/results/"+strings.Repeat("ab", 32), strings.NewReader("data"))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("PUT /v1/results: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("status = %d, want 405", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Allow"); got != "GET, HEAD" {
+		t.Fatalf("Allow = %q, want \"GET, HEAD\"", got)
+	}
+}
+
 // TestClientToleratesLegacyErrorBody checks the two error-body shapes
-// the one parser (apiErr) accepts, through both of its callers — the
-// Client and RemoteStore: the JSON envelope decodes into code and
-// message, and a body that is not one (a proxy's plain-text page)
+// the one parser (apiErr) accepts: the JSON envelope decodes into code
+// and message, and a body that is not one (a proxy's plain-text page)
 // becomes the message verbatim, with no code.
 func TestClientToleratesLegacyErrorBody(t *testing.T) {
-	key := strings.Repeat("ab", 32)
 	for _, tc := range []struct {
 		name, body, wantCode, wantMsg string
 	}{
@@ -176,45 +193,7 @@ func TestClientToleratesLegacyErrorBody(t *testing.T) {
 			if !strings.Contains(apiErr.Message, tc.wantMsg) {
 				t.Fatalf("message %q does not contain %q", apiErr.Message, tc.wantMsg)
 			}
-			_, _, err = NewRemoteStore(hs.URL, nil).Get(key)
-			if !errors.As(err, &apiErr) || apiErr.Code != tc.wantCode || !strings.Contains(apiErr.Message, tc.wantMsg) {
-				t.Fatalf("remote store error = %v, want code %q and message %q", err, tc.wantCode, tc.wantMsg)
-			}
 		})
-	}
-}
-
-// TestRemoteStoreRoundTrip drives the HTTP store proxy: Get miss, Put,
-// Get hit with identical bytes, idempotent re-Put, and a conflicting
-// Put surfacing ErrStoreMismatch exactly like the local store.
-func TestRemoteStoreRoundTrip(t *testing.T) {
-	srv, client := newTestServer(t, Options{Workers: -1})
-	rs := NewRemoteStore(client.BaseURL, nil)
-
-	key, err := sweepSpec(1000, 64, 1).ContentKey()
-	if err != nil {
-		t.Fatalf("ContentKey: %v", err)
-	}
-	if _, ok, err := rs.Get(key); err != nil || ok {
-		t.Fatalf("Get before Put = ok=%v err=%v, want miss", ok, err)
-	}
-	blob := []byte(`{"fake":"result"}`)
-	if err := rs.Put(key, blob); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	got, ok, err := rs.Get(key)
-	if err != nil || !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("Get after Put = %q ok=%v err=%v, want stored bytes", got, ok, err)
-	}
-	if err := rs.Put(key, blob); err != nil {
-		t.Fatalf("idempotent re-Put: %v", err)
-	}
-	if err := rs.Put(key, []byte("different")); !errors.Is(err, ErrStoreMismatch) {
-		t.Fatalf("conflicting Put error = %v, want ErrStoreMismatch", err)
-	}
-	// The write went through the coordinator's store, not a shadow copy.
-	if _, ok, err := srv.Store().Get(key); err != nil || !ok {
-		t.Fatalf("coordinator store miss after remote Put (ok=%v err=%v)", ok, err)
 	}
 }
 
@@ -224,7 +203,7 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 // its bytes differ, flags the job naming the offending worker.
 func TestFleetLeaseLifecycle(t *testing.T) {
 	srv, _ := newTestServer(t, Options{
-		Workers: -1, MCWorkers: 1, Lease: 100 * time.Millisecond, StealAge: -1,
+		Workers: -1, MCWorkers: 1, Lease: 100 * time.Millisecond,
 	})
 
 	a, err := srv.RegisterWorker("node-a")
@@ -249,11 +228,11 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 	if err != nil || grantA == nil {
 		t.Fatalf("lease to a = %v, %v; want a grant", grantA, err)
 	}
-	if grantA.JobID != st.ID || grantA.Key != st.Key || grantA.Attempt != 1 || grantA.Stolen {
+	if grantA.JobID != st.ID || grantA.Key != st.Key || grantA.Attempt != 1 {
 		t.Fatalf("grant = %+v, want job %s key %s attempt 1 fresh", grantA, st.ID, st.Key)
 	}
 	if g, err := srv.LeaseWork(b.ID); err != nil || g != nil {
-		t.Fatalf("second lease = %v, %v; want no work (stealing disabled)", g, err)
+		t.Fatalf("second lease = %v, %v; want no work while a holds the lease", g, err)
 	}
 	if ack, err := srv.UpdateLease(grantA.LeaseID, LeaseUpdate{Event: "heartbeat"}); err != nil || !ack.Valid {
 		t.Fatalf("heartbeat ack = %+v, %v; want valid", ack, err)

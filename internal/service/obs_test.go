@@ -37,7 +37,6 @@ var goldenMetricNames = []string{
 	"latticesim_queue_depth",
 	"latticesim_queue_fresh",
 	"latticesim_requeues_total",
-	"latticesim_steals_total",
 	"latticesim_store_corruptions_total",
 	"latticesim_store_get_seconds",
 	"latticesim_store_gets_total",
@@ -168,7 +167,7 @@ func TestStatsExcludesBatchChildren(t *testing.T) {
 // an integrity failure charged to the reporting node — Failed credit,
 // never Completed. (The credit must wait for the store write.)
 func TestMismatchedCompletionCreditsFailure(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: -1, MCWorkers: 1, StealAge: -1})
+	srv, _ := newTestServer(t, Options{Workers: -1, MCWorkers: 1})
 
 	w, err := srv.RegisterWorker("node")
 	if err != nil {
@@ -316,7 +315,7 @@ func TestAttemptSpansEndOnce(t *testing.T) {
 	}
 
 	t.Run("completion after lease expiry", func(t *testing.T) {
-		srv, sink, g := lease(t, Options{Lease: 100 * time.Millisecond, StealAge: -1}, sweepSpec(1000, 64, 51))
+		srv, sink, g := lease(t, Options{Lease: 100 * time.Millisecond}, sweepSpec(1000, 64, 51))
 		deadline := time.Now().Add(5 * time.Second)
 		for st, _ := srv.Job(g.JobID); st.State != StateQueued; st, _ = srv.Job(g.JobID) {
 			if time.Now().After(deadline) {
@@ -335,7 +334,7 @@ func TestAttemptSpansEndOnce(t *testing.T) {
 	})
 
 	t.Run("conflicting completion", func(t *testing.T) {
-		srv, sink, g := lease(t, Options{StealAge: -1}, sweepSpec(1000, 64, 52))
+		srv, sink, g := lease(t, Options{}, sweepSpec(1000, 64, 52))
 		data := result(t, g)
 		if err := srv.Store().Put(g.Key, data); err != nil {
 			t.Fatalf("planting result: %v", err)
@@ -351,7 +350,7 @@ func TestAttemptSpansEndOnce(t *testing.T) {
 	})
 
 	t.Run("close with a remote lease", func(t *testing.T) {
-		srv, sink, g := lease(t, Options{StealAge: -1}, sweepSpec(1000, 64, 53))
+		srv, sink, g := lease(t, Options{}, sweepSpec(1000, 64, 53))
 		srv.Close()
 		if st, _ := srv.Job(g.JobID); st.State != StateFailed || st.StopReason != StopReasonShutdown {
 			t.Fatalf("job %s/%s after Close, want failed/shutdown", st.State, st.StopReason)
@@ -359,31 +358,39 @@ func TestAttemptSpansEndOnce(t *testing.T) {
 		ends(t, sink, g.JobID, 1, "shutdown")
 	})
 
-	t.Run("steal", func(t *testing.T) {
-		srv, sink, g := lease(t, Options{Lease: 10 * time.Second, StealAge: 20 * time.Millisecond},
+	t.Run("silent campaign node", func(t *testing.T) {
+		// a holds the campaign's one batch and goes silent. An idle node
+		// gets nothing while a's lease is live, and the batch as a fresh
+		// attempt once the watchdog has expired it.
+		const ttl = 200 * time.Millisecond
+		start := time.Now()
+		srv, sink, g := lease(t, Options{Lease: ttl},
 			JobSpec{Type: "campaign", Campaign: &CampaignJob{Policies: "Passive", TausNs: "1000", Shots: 64, Seed: 54}})
 		b, err := srv.RegisterWorker("node-b")
 		if err != nil {
 			t.Fatalf("register b: %v", err)
 		}
-		var steal *LeaseGrant
+		var retry *LeaseGrant
 		deadline := time.Now().Add(5 * time.Second)
-		for steal == nil {
+		for retry == nil {
 			if time.Now().After(deadline) {
-				t.Fatal("the idle node never stole the straggling batch")
+				t.Fatal("the silent node's batch never came back")
 			}
-			time.Sleep(10 * time.Millisecond)
-			if steal, err = srv.LeaseWork(b.ID); err != nil {
+			if retry, err = srv.LeaseWork(b.ID); err != nil {
 				t.Fatalf("lease to b: %v", err)
 			}
+			if retry != nil && time.Since(start) < ttl {
+				t.Fatalf("b got %+v %v after a's grant, while a's %v lease was live", retry, time.Since(start), ttl)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		if !steal.Stolen || steal.JobID != g.JobID || steal.Attempt != 2 {
-			t.Fatalf("b's grant = %+v, want a steal of %s as attempt 2", steal, g.JobID)
+		if retry.JobID != g.JobID || retry.Attempt != 2 {
+			t.Fatalf("b's grant = %+v, want %s as attempt 2", retry, g.JobID)
 		}
-		if ack, err := srv.UpdateLease(steal.LeaseID, LeaseUpdate{Event: "complete", Result: result(t, steal)}); err != nil || !ack.Valid {
+		if ack, err := srv.UpdateLease(retry.LeaseID, LeaseUpdate{Event: "complete", Result: result(t, retry)}); err != nil || !ack.Valid {
 			t.Fatalf("b's completion ack = %+v, %v; want valid", ack, err)
 		}
-		ends(t, sink, g.JobID, 1, "stolen")
+		ends(t, sink, g.JobID, 1, "lease_expired")
 		ends(t, sink, g.JobID, 2, "done")
 	})
 }

@@ -24,7 +24,6 @@ type serverMetrics struct {
 	attempts        *obs.Counter
 	requeues        *obs.Counter
 	cancels         *obs.Counter
-	steals          *obs.Counter
 	campaigns       *obs.Counter
 	integrityChecks *obs.Counter
 	integrityFails  *obs.Counter
@@ -74,12 +73,11 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 		attempts:        reg.Counter("latticesim_attempts_total", "Execution attempts dispatched, each under its own lease."),
 		requeues:        reg.Counter("latticesim_requeues_total", "Crash-recovery requeues: panics, execution errors, expired leases."),
 		cancels:         reg.Counter("latticesim_cancellations_total", "Cancel calls that stopped a live job."),
-		steals:          reg.Counter("latticesim_steals_total", "Tail work-steals: straggler batch attempts duplicated to an idle node."),
 		campaigns:       reg.Counter("latticesim_campaigns_total", "Campaigns ever scheduled (store hits excluded)."),
 		integrityChecks: reg.Counter("latticesim_integrity_checks_total", "Late-completion byte-compares against the stored result."),
 		integrityFails:  reg.Counter("latticesim_integrity_failures_total", "Byte-compares that found a mismatch (always 0 unless determinism is broken)."),
 
-		leaseGrants:   reg.Counter("latticesim_lease_grants_total", "Leases granted to in-process and remote nodes (steals included)."),
+		leaseGrants:   reg.Counter("latticesim_lease_grants_total", "Leases granted to in-process and remote nodes."),
 		leaseRenewals: reg.Counter("latticesim_lease_renewals_total", "Lease renewals: in-process progress events and remote heartbeats."),
 		leaseExpiries: reg.Counter("latticesim_lease_expiries_total", "Attempts the watchdog declared dead after a missed heartbeat."),
 		heartbeatAge:  reg.Histogram("latticesim_lease_heartbeat_age_seconds", "Time since the previous lease renewal, observed at each renewal.", nil),

@@ -24,10 +24,6 @@ type Options struct {
 	// DataDir roots the content-addressed result store; "" keeps results
 	// in memory only (they die with the process).
 	DataDir string
-	// Store overrides the result-store backend; when set, DataDir is
-	// ignored. The built-in disk/memory store is the default; a
-	// RemoteStore chains this server to another coordinator's store.
-	Store StoreBackend
 	// Workers is the number of in-process nodes executing jobs
 	// concurrently (0 = 2; negative = none — a coordinator-only server
 	// whose work is executed entirely by remote worker nodes). They lease
@@ -68,13 +64,6 @@ type Options struct {
 	// the effective bound, so remote nodes enforce it too. Exceeding it
 	// fails the job with stop reason "timeout".
 	JobTimeout time.Duration
-	// StealAge tunes tail work-stealing: a remote lease request that
-	// finds the queue empty may duplicate a running campaign-batch
-	// attempt whose lease was last renewed at least StealAge ago,
-	// racing the (possibly straggling or silently dead) holder. The
-	// loser's completion is byte-compared against the store — stealing
-	// never changes results. 0 = Lease/2; negative disables stealing.
-	StealAge time.Duration
 	// Hooks are test-only fault-injection points (nil in production).
 	Hooks *Hooks
 	// Cache, when non-nil, is the shared build cache; otherwise the
@@ -94,7 +83,7 @@ type Options struct {
 	Spans *obs.SpanWriter
 	// Logger, when non-nil, receives structured leveled log events for
 	// operationally interesting transitions: lease expiry, requeue,
-	// integrity failure, work-steal. nil is silent.
+	// integrity failure. nil is silent.
 	Logger *obs.Logger
 }
 
@@ -119,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Lease == 0 {
 		o.Lease = 30 * time.Second
-	}
-	if o.StealAge == 0 {
-		o.StealAge = o.Lease / 2
 	}
 	if o.Cache == nil {
 		o.Cache = sweep.NewBuildCache()
@@ -257,23 +243,19 @@ type Server struct {
 // nodes and the lease watchdog.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	backend := opts.Store
-	if backend == nil {
-		store, err := OpenStore(opts.DataDir)
-		if err != nil {
-			return nil, err
-		}
-		store.hooks = opts.Hooks
-		backend = store
+	store, err := OpenStore(opts.DataDir)
+	if err != nil {
+		return nil, err
 	}
+	store.hooks = opts.Hooks
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	met := newServerMetrics(reg, backend.Stats, opts.Cache.Stats)
+	met := newServerMetrics(reg, store.Stats, opts.Cache.Stats)
 	s := &Server{
 		opts:      opts,
-		store:     &meteredStore{b: backend, m: met},
+		store:     &meteredStore{b: store, m: met},
 		met:       met,
 		spans:     opts.Spans,
 		log:       opts.Logger,
@@ -534,14 +516,15 @@ type Stats struct {
 	StoreCorruptions  int `json:"store_corruptions"`
 	// Fleet counters. Workers counts registered worker nodes (in-process
 	// nodes are not registered); ActiveLeases counts attempts currently
-	// leased out, to in-process and remote nodes alike; Steals
-	// counts tail work-steals (straggler attempts duplicated to an idle
-	// node); Campaigns counts campaigns ever scheduled (store hits
-	// excluded).
+	// leased out, to in-process and remote nodes alike; Campaigns counts
+	// campaigns ever scheduled (store hits excluded).
 	Workers      int `json:"workers"`
 	ActiveLeases int `json:"active_leases"`
-	Steals       int `json:"steals"`
-	Campaigns    int `json:"campaigns"`
+	// Deprecated: tail stealing is retired, so Steals always reads 0.
+	// It stays on the wire for one release (API.md, "Deprecation
+	// policy").
+	Steals    int `json:"steals"`
+	Campaigns int `json:"campaigns"`
 	// StoreHits counts submissions answered from the result store;
 	// StorePuts counts results written by this process.
 	StoreHits int `json:"store_hits"`
@@ -562,7 +545,6 @@ func (s *Server) Stats() Stats {
 	st.Cancellations = int(s.met.cancels.Value())
 	st.IntegrityChecks = int(s.met.integrityChecks.Value())
 	st.IntegrityFailures = int(s.met.integrityFails.Value())
-	st.Steals = int(s.met.steals.Value())
 	st.Campaigns = int(s.met.campaigns.Value())
 	s.mu.Lock()
 	st.Workers = len(s.workers)
@@ -727,10 +709,7 @@ func (s *Server) expireAttempt(j *job, now time.Time) {
 // failAttempt is the edit of a failed attempt, by lease expiry or by a
 // worker's failure report: f is recorded with the attempt and worker
 // filled in, and the job is requeued, or failed once MaxAttempts
-// failures are spent; what completes the error message. Failures, not
-// attempts, exhaust the retry budget: a work-steal mints a fresh
-// attempt token without consuming it, so a stolen job still gets its
-// full MaxAttempts of real failures.
+// failures are spent; what completes the error message.
 func (s *Server) failAttempt(f AttemptFailure, what string) func(*JobStatus) {
 	return func(st *JobStatus) {
 		f.Attempt, f.Worker = st.Attempt, st.Worker

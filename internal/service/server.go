@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -25,10 +24,9 @@ import (
 //	                         state
 //	DELETE /v1/jobs/{id}     cancel a queued or running job (idempotent
 //	                         on terminal jobs)
-//	GET  /v1/results/{key}   the stored result blob (application/json)
-//	PUT  /v1/results/{key}   store a result blob (fleet-internal: a
-//	                         RemoteStore write-through; first-write-wins,
-//	                         409 store_mismatch on conflicting bytes)
+//	GET  /v1/results/{key}   the stored result blob (application/json);
+//	                         results enter the store only through a
+//	                         fenced "complete" lease report
 //
 // Campaigns (sweep grids scheduled as leased batches):
 //
@@ -72,7 +70,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers/{id}/lease", s.handleLease)
 	mux.HandleFunc("POST /v1/leases/{id}", s.handleLeaseUpdate)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	mux.HandleFunc("PUT /v1/results/{key}", s.handlePutResult)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -85,9 +82,10 @@ func (s *Server) Handler() http.Handler {
 // KB for hundreds of ops), so 4 MiB is generous without inviting abuse.
 const maxSpecBytes = 4 << 20
 
-// maxResultBytes bounds PUT /v1/results bodies. A batch result is one
-// record line (~1 KB) per point and batches are ≤ 4096 points, so
-// 64 MiB clears every legitimate write with a wide margin.
+// maxResultBytes bounds lease-report bodies, which carry a completed
+// unit's result. A batch result is one record line (~1 KB) per point
+// and batches are ≤ 4096 points, so 64 MiB clears every legitimate
+// report with a wide margin.
 const maxResultBytes = 64 << 20
 
 // decodeBody strictly decodes a bounded JSON request body into v,
@@ -298,33 +296,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
-}
-
-// handlePutResult is the write half of the fleet's shared store: worker
-// nodes (via RemoteStore) push result blobs through the coordinator.
-// First-write-wins like every store backend; conflicting bytes are a
-// 409 with code store_mismatch. The coordinator trusts its fleet —
-// keys address job descriptors, not payloads, so they cannot be
-// re-derived here (API.md documents the trust boundary).
-func (s *Server) handlePutResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !validKey(key) {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "invalid result key %q", key)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "reading body: %v", err)
-		return
-	}
-	switch err := s.store.Put(key, data); {
-	case err == nil:
-		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, ErrStoreMismatch):
-		writeError(w, http.StatusConflict, CodeStoreMismatch, 0, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, CodeInternal, 0, "%v", err)
-	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -206,7 +206,7 @@ const maxBatchPoints = 4096
 // as leased units. Its result is the concatenation of every point's
 // canonical record line in canonical grid order — byte-identical to
 // `latticesim sweep -json` for the same grid, shots and seed,
-// independent of batch size, worker count and work-stealing.
+// independent of batch size, worker count, node loss and retries.
 type CampaignJob struct {
 	// Hardware is the profile name ("" = IBM); ScaleNs > 0 scales it so
 	// the base cycle equals this many ns.

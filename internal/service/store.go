@@ -20,10 +20,9 @@ import (
 var ErrStoreMismatch = errors.New("service: store: bytes differ for existing key")
 
 // StoreBackend is the content-addressed result store a Server reads and
-// writes. The built-in *Store (disk or memory, below) is the default;
-// RemoteStore proxies through another coordinator's HTTP API, and any
-// future backend (shared blob storage) slots in via Options.Store. The
-// contract every backend must honor:
+// writes: the built-in *Store (disk or memory, below), behind the
+// server's metrics decorator, which Server.Store returns. The contract
+// every backend must honor:
 //
 //   - Get returns (data, true, nil) for a stored key, (nil, false, nil)
 //     for a miss, and an error only for backend trouble;
@@ -31,7 +30,7 @@ var ErrStoreMismatch = errors.New("service: store: bytes differ for existing key
 //     differing bytes return an error wrapping ErrStoreMismatch (the
 //     integrity signal the fencing machinery relies on);
 //   - Stats reports blobs written by this process and corruption events
-//     detected (0 when the backend cannot know);
+//     detected;
 //   - all methods are safe for concurrent use.
 type StoreBackend interface {
 	Get(key string) (data []byte, ok bool, err error)

@@ -8,11 +8,12 @@
 // every campaign aggregate) is byte-identical however the fleet is
 // shaped — one in-process node, many nodes, nodes dying mid-run.
 //
-// The node is deliberately stateless: its only durable interaction is
-// the coordinator's content-addressed store. Losing a node loses at
-// most the lease's in-flight work, which the coordinator's watchdog
-// re-leases (or its tail work-stealing duplicates) without operator
-// intervention.
+// The node is deliberately stateless: its whole interaction with the
+// coordinator is the lease protocol — register, lease, heartbeat,
+// report — and a result reaches the coordinator's store only as a
+// fenced completion report. Losing a node loses at most the lease's
+// in-flight work, which the coordinator's watchdog requeues when the
+// lease expires, without operator intervention.
 package worker
 
 import (
@@ -77,8 +78,8 @@ type Options struct {
 type Stats struct {
 	// Leased counts units granted; Completed and Failed the outcomes
 	// reported; Abandoned the units dropped because the coordinator
-	// invalidated the lease mid-execution (expired, stolen and finished
-	// elsewhere, or canceled).
+	// invalidated the lease mid-execution (expired and re-leased, or
+	// canceled).
 	Leased    int `json:"leased"`
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
@@ -124,7 +125,6 @@ func New(opts Options) (*Worker, error) {
 		client: client,
 		runner: service.UnitRunner{
 			Cache: cache, MCWorkers: opts.MCWorkers, Metrics: opts.Metrics,
-			Store:  service.NewRemoteStore(opts.Coordinator, opts.HTTPClient),
 			Before: opts.BeforeExecute,
 		},
 	}
@@ -238,10 +238,10 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // executeLease runs one leased unit end to end: the shared UnitRunner
-// (before-hook, store fast path, timeout, execution) with a concurrent
-// heartbeat, then the outcome report. A lease the coordinator
-// invalidates mid-flight cancels execution and reports nothing: the
-// unit belongs to someone else now.
+// (before-hook, timeout, execution) with a concurrent heartbeat, then
+// the outcome report. A lease the coordinator invalidates mid-flight
+// cancels execution and reports nothing: the unit belongs to someone
+// else now.
 func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 	// The unit span is the worker-side leg of the job's trace: its ID
 	// derives from the lease ID the coordinator minted, and its trace ID

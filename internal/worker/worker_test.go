@@ -17,7 +17,7 @@ import (
 
 // The test campaign: 4 grid points (2 policies × 2 slacks) in batches
 // of 1, small enough to run under -race in seconds but wide enough
-// that three nodes genuinely share (and steal) work.
+// that three nodes genuinely share work.
 const (
 	tcPolicies = "Passive,Active"
 	tcTaus     = "500,1000"
@@ -73,10 +73,10 @@ type fleetScenario struct {
 // attribution: every lease the coordinator grants goes to
 // service.WorkerLocal or a registered node, and in-process nodes take
 // leases exactly when the fleet has them. Attribution is read from the
-// lease spans, because a batch's final Worker is whichever attempt won
-// it, and a remote node may steal an in-process node's straggler. After
-// the nodes stop and the server closes, every attempt span must have
-// exactly one start and one end.
+// lease spans, because a batch's final Worker names only the attempt
+// that completed it, not one whose lease expired. After the nodes stop
+// and the server closes, every attempt span must have exactly one
+// start and one end.
 func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 	t.Helper()
 	var spans lockedBuffer
@@ -111,7 +111,8 @@ func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 			// The doomed node: on its first lease it signals the test,
 			// then hangs without heartbeating until its context is
 			// canceled — exactly what a killed process looks like to the
-			// coordinator, which must re-lease (or steal) the unit.
+			// coordinator, which must expire the lease and re-lease the
+			// unit.
 			leased := make(chan struct{})
 			var once sync.Once
 			wopts.BeforeExecute = func(hctx context.Context, g *service.LeaseGrant) error {
@@ -211,8 +212,8 @@ func runCampaignScenario(t *testing.T, sc fleetScenario) []byte {
 
 	cancel()
 	wg.Wait()
-	// Every attempt span starts once and ends once — a stolen
-	// straggler's included — once Close has ended what is still live.
+	// Every attempt span starts once and ends once — an expired
+	// lease's included — once Close has ended what is still live.
 	srv.Close()
 	phases := map[string]string{}
 	for _, ev := range parseSpans(t, spans.String()) {
@@ -337,10 +338,11 @@ func TestRemoteFailureSemantics(t *testing.T) {
 	}
 }
 
-// TestWorkerStoreFastPath checks a node short-circuits a leased unit
-// whose result is already stored (the losing side of a steal race)
-// instead of recomputing it.
-func TestWorkerStoreFastPath(t *testing.T) {
+// TestWorkerStoredResultCompletes checks that a leased unit whose
+// identical bytes are already stored completes done: the node executes
+// it, and the store accepts the re-put of equal bytes as a no-op, not
+// as an integrity failure.
+func TestWorkerStoredResultCompletes(t *testing.T) {
 	srv, err := service.New(service.Options{Workers: -1, MCWorkers: 1})
 	if err != nil {
 		t.Fatalf("service.New: %v", err)
@@ -357,10 +359,8 @@ func TestWorkerStoreFastPath(t *testing.T) {
 		Policy: "Passive", TauNs: 1000, Shots: 64, Seed: 5,
 	}}
 	// Precompute the result and plant it in the store under the job's
-	// key, then submit: the job coalesces before the store check only
-	// for in-flight keys, so this submission still queues... unless the
-	// store already has it. Plant *after* submission to exercise the
-	// worker-side fast path rather than the coordinator's.
+	// key after submitting, so the job is queued rather than answered
+	// from the store at submission.
 	st, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -385,9 +385,9 @@ func TestWorkerStoreFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("worker.New: %v", err)
 	}
-	// BeforeExecute runs before the fast path, so it fires either way;
-	// what must not happen is a store mismatch or a recompute changing
-	// the outcome. Watch the job to completion and check the counters.
+	// The node executes the unit and reports the planted bytes again;
+	// what must not happen is a store mismatch. Watch the job to
+	// completion and check the counters.
 	wctx, wcancel := context.WithCancel(ctx)
 	done := make(chan struct{})
 	go func() {
@@ -416,7 +416,7 @@ func TestWorkerStoreFastPath(t *testing.T) {
 	}
 	got, err := client.Result(ctx, final.Key)
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("result differs after fast path (err %v)", err)
+		t.Fatalf("result differs from the planted bytes (err %v)", err)
 	}
 	if !executed {
 		t.Fatal("BeforeExecute hook never ran — worker never leased the unit")

@@ -315,7 +315,7 @@ type (
 	ServiceCampaignStatus = service.CampaignStatus
 	// ServiceStats are the server's queue/fleet/store/build-cache
 	// counters, including recovery counters (attempts, requeues,
-	// cancellations, integrity checks, steals).
+	// cancellations, integrity checks).
 	ServiceStats = service.Stats
 	// ServiceRetryPolicy configures client-side retries with jittered
 	// exponential backoff; set it on ServiceClient.Retry.
@@ -331,13 +331,10 @@ type (
 	// status and decoded ServiceAPIError of a failed request; inspect
 	// its code with ServiceErrorCode.
 	ServiceStatusError = service.APIStatusError
-	// ServiceStoreBackend is the result-store interface the service
-	// runs on: the built-in disk/memory store or a ServiceRemoteStore
-	// proxying another node's store over HTTP.
+	// ServiceStoreBackend is the result-store interface a Service's
+	// Store method returns: its built-in disk or memory store, behind
+	// the metrics decorator.
 	ServiceStoreBackend = service.StoreBackend
-	// ServiceRemoteStore is a StoreBackend reading and writing another
-	// service's content-addressed store via its /v1/results API.
-	ServiceRemoteStore = service.RemoteStore
 	// ServiceWorkerInfo describes one registered fleet node
 	// (GET /v1/workers).
 	ServiceWorkerInfo = service.WorkerInfo
@@ -355,13 +352,6 @@ func NewService(opts ServiceOptions) (*Service, error) { return service.New(opts
 // NewServiceClient returns a client for the simulation service at base
 // (e.g. "http://127.0.0.1:8642").
 func NewServiceClient(base string) *ServiceClient { return service.NewClient(base) }
-
-// NewServiceRemoteStore returns a StoreBackend proxying the
-// content-addressed store of the service at base over its /v1/results
-// API, using the default HTTP client.
-func NewServiceRemoteStore(base string) *ServiceRemoteStore {
-	return service.NewRemoteStore(base, nil)
-}
 
 // DefaultServiceRetryPolicy is the retry policy `latticesim submit
 // -retry` uses: 5 retries, 100ms base delay, 5s cap, full jitter. It

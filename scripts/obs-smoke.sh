@@ -38,11 +38,11 @@ fi
 
 fail() { echo "obs-smoke FAIL: $*" >&2; exit 1; }
 
-# Coordinator: executes nothing itself, short leases, stealing disabled
-# so the killed node's unit can come back only via lease expiry — which
-# pins latticesim_lease_expiries_total to a non-zero value.
+# Coordinator: executes nothing itself, short leases. A killed node's
+# unit comes back only by lease expiry, which pins
+# latticesim_lease_expiries_total to a non-zero value.
 "$BIN" serve -addr "$ADDR" -data "$DIR/data" -workers 0 -lease 2s \
-  -steal-age=-1s -log-json "$DIR/coord.ndjson" -debug-addr "$PPROF" &
+  -log-json "$DIR/coord.ndjson" -debug-addr "$PPROF" &
 SERVE_PID=$!
 for i in $(seq 1 50); do
   curl -sf "http://$ADDR/healthz" >/dev/null && break
@@ -133,7 +133,7 @@ units=$(grep '"name":"unit"' "$DIR/worker.ndjson" | grep '"phase":"end"' | grep 
 echo "obs-smoke: trace $TRACE spans $units surviving-node units"
 
 # The status dashboard renders against the live fleet.
-"$BIN" status "$ADDR" > "$DIR/status.txt"
+"$BIN" status -server "$ADDR" > "$DIR/status.txt"
 cat "$DIR/status.txt"
 grep -q "survivor" "$DIR/status.txt" || fail "status dashboard missing the surviving node"
 
