@@ -92,7 +92,7 @@ Flags:`)
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		manifest, err = sweep.OpenManifest(filepath.Join(*out, "manifest"), cfg.Seed, cfg.Shots, pts)
+		manifest, err = sweep.OpenManifest(filepath.Join(*out, "manifest"), cfg, pts)
 		if err != nil {
 			return err
 		}

@@ -25,11 +25,11 @@ import (
 // while each shard still amortizes its share of pool bookkeeping.
 const shardShots = 4096
 
-// ShardShots is the granularity of incremental execution: RunFrom and
-// the importance sampler's RunShards accept ranges whose start is a
-// multiple of this, because a shard's RNG stream is keyed on its index
-// and consumed from its first shot. The adaptive allocator in
-// internal/sweep quantizes every budget decision to this unit so that
+// ShardShots is the granularity of incremental execution: RunFrom
+// accepts ranges whose start is a multiple of this, because a shard's
+// RNG stream is keyed on its index and consumed from its first shot.
+// The adaptive allocator in internal/sweep quantizes every budget
+// decision to this unit, and its first checkpoint is one shard, so that
 // an incrementally-granted budget replays the exact shard schedule a
 // single-call run of the same total would use.
 const ShardShots = shardShots

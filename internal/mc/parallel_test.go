@@ -127,6 +127,46 @@ func TestRunWithDecoderMatchesParallel(t *testing.T) {
 	}
 }
 
+// TestRunFromMergesToRun: disjoint shard-aligned ranges covering [0, n)
+// must merge to exactly the single-call Run(n) tally, for any worker
+// count — the primitive the adaptive allocator's incremental grants
+// stand on.
+func TestRunFromMergesToRun(t *testing.T) {
+	const shots, seed = 20000, 17
+	pl := buildTestPipeline(t, 3)
+	pl.Workers = 1
+	want := pl.Run(shots, seed)
+
+	splits := [][]int{
+		{0, shots},
+		{0, ShardShots, shots},
+		{0, ShardShots, 3 * ShardShots, shots},
+		{0, 2 * ShardShots, 4 * ShardShots, shots},
+	}
+	for _, workers := range []int{1, 3, 8} {
+		pl.Workers = workers
+		for _, cuts := range splits {
+			var got LERResult
+			for i := 0; i+1 < len(cuts); i++ {
+				got.Merge(pl.RunFrom(cuts[i], cuts[i+1], seed))
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("workers=%d cuts=%v: merged %+v != Run %+v", workers, cuts, got, want)
+			}
+		}
+	}
+}
+
+func TestRunFromRejectsUnalignedStart(t *testing.T) {
+	pl := buildTestPipeline(t, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunFrom must panic on an unaligned range start")
+		}
+	}()
+	pl.RunFrom(100, 5000, 1)
+}
+
 // TestParallelRaceSmoke drives every parallel entry point with more
 // workers than CPUs on a small distance-3 config; its real assertions
 // come from the race detector (CI runs go test -race ./...).

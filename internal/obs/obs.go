@@ -308,44 +308,6 @@ func (v *GaugeVec) Delete(vals ...string) {
 	v.f.mu.Unlock()
 }
 
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers a labeled histogram family (nil buckets =
-// DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{f: r.lookup(name, help, typeHistogram, labels, buckets)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(vals ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(vals).hist
-}
-
-// GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time — the way to expose state that already has one authoritative
-// owner (queue depth, active leases) without a second copy to drift.
-// fn must not call back into the registry and must be safe to call from
-// the scrape goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.lookup(name, help, typeGauge, nil, nil)
-	f.mu.Lock()
-	f.valueFn = fn
-	f.mu.Unlock()
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time (fn must be monotonic; used to mirror counters owned elsewhere,
 // e.g. the store backend's put count).

@@ -82,7 +82,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.GaugeFunc("f", "func gauge", func() float64 { return 42 })
+	r.CounterFunc("f_total", "func counter", func() float64 { return 42 })
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -94,9 +94,9 @@ a{kind="x\"y\\z"} 1.5
 # HELP b_total counts b
 # TYPE b_total counter
 b_total 3
-# HELP f func gauge
-# TYPE f gauge
-f 42
+# HELP f_total func counter
+# TYPE f_total counter
+f_total 42
 # HELP lat_seconds latency
 # TYPE lat_seconds histogram
 lat_seconds_bucket{le="0.1"} 1
@@ -159,8 +159,6 @@ func TestNilSafety(t *testing.T) {
 	r.CounterVec("d_total", "h", "k").With("v").Inc()
 	r.GaugeVec("e", "h", "k").With("v").Set(1)
 	r.GaugeVec("e", "h", "k").Delete("v")
-	r.HistogramVec("f", "h", nil, "k").With("v").Observe(1)
-	r.GaugeFunc("g", "h", func() float64 { return 0 })
 	r.CounterFunc("h_total", "h", func() float64 { return 0 })
 	r.OnScrape(func() {})
 

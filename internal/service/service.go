@@ -525,12 +525,12 @@ func resolveSweep(j SweepJob) (*resolvedJob, error) {
 	r.body = fmt.Sprintf("type=sweep\npoint=%s\nseed=%d\nshots=%d\n",
 		pt.Key(), cfg.Seed, cfg.Shots)
 	if adaptive {
-		// Every resolved parameter that can change the record is part of
-		// the address. Increment is deliberately absent: the checkpoint
-		// ladder makes grants independent of the execution chunk size
-		// (DESIGN.md §12).
-		r.body += fmt.Sprintf("adaptive=1\ntarget-rci=%g\nmin-shots=%d\nmax-shots=%d\nrare-p=%g\nboost=%g\nz=%g\n",
-			acfg.TargetRCI, acfg.MinShots, acfg.MaxShots, acfg.RareP, acfg.Boost, acfg.Z)
+		// The two adaptive knobs are part of the address. The ladder
+		// base (one shard) and the stopping z (1.96) are fixed in
+		// package sweep and absent here, so a change to either must
+		// bump resultSchemaVersion (DESIGN.md §12).
+		r.body += fmt.Sprintf("adaptive=1\ntarget-rci=%g\nmax-shots=%d\n",
+			acfg.TargetRCI, acfg.MaxShots)
 	}
 	r.canonical = canonicalHeader() + r.body
 	r.key = contentKey(r.canonical)

@@ -555,3 +555,31 @@ func TestContentKeyCanonicalization(t *testing.T) {
 		t.Fatalf("server key %s != local predictor %s", st.Key, ka)
 	}
 }
+
+// TestContentKeyStability pins the content addresses of three
+// non-adaptive jobs. Stored results are found by these keys, so they are
+// a frozen contract: if this test fails, the change made every stored
+// result unreachable — fix the code, do not re-pin the values (the only
+// sanctioned exception is an intentional, documented schema migration
+// that bumps resultSchemaVersion).
+func TestContentKeyStability(t *testing.T) {
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Type: "sweep", Sweep: &SweepJob{Policy: "Passive", TauNs: 500, Shots: 2048}},
+			"9412ae36f6bf69d1f67a9b144aafe63ddecf0c4df90fbe76961580a0456053f2"},
+		{JobSpec{Type: "campaign", Campaign: &CampaignJob{Policies: "Passive,Active", TausNs: "250,500", Shots: 20000}},
+			"c589cc0ec0394858e5b05d7fd2db1b6462d871c3088904fb80cdffdf21e73ba1"},
+		{JobSpec{Type: "trace", Trace: &TraceJob{Policies: []string{"Passive"}, Shots: 1024}},
+			"4b5b583b1578c296c009788dda246296c0c0c8bff9620719c861ed1bb4b4a9b3"},
+	} {
+		got, err := tc.spec.ContentKey()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Type, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s content key drifted:\n got %s\nwant %s", tc.spec.Type, got, tc.want)
+		}
+	}
+}

@@ -2,19 +2,18 @@ package stats
 
 import "math"
 
-// This file is the estimator abstraction behind adaptive shot
-// allocation (DESIGN.md §12): plain Monte Carlo counting and the
-// rare-event importance-weighted path both report through one CI type,
-// so the sweep engine's sequential stopping rule never needs to know
-// which estimator produced a point's statistics.
+// This file holds the interval surface behind adaptive shot allocation
+// (DESIGN.md §12): the CI type the sweep engine's sequential stopping
+// rule reads, its Wilson view of a Binomial count, and the analytic
+// fixed-budget inversion that quantifies what adaptivity saves.
 
-// CI is a confidence interval over a probability, the common reporting
-// currency of every Estimator. Low and High are clamped to [0, 1].
+// CI is a confidence interval over a probability. Low and High are
+// clamped to [0, 1].
 type CI struct {
 	// Estimate is the point estimate the interval brackets.
 	Estimate float64
 	// Low and High are the interval bounds at the z value passed to
-	// Estimator.CI.
+	// Binomial.CI.
 	Low, High float64
 }
 
@@ -31,96 +30,10 @@ func (c CI) RelWidth() float64 {
 	return c.Width() / c.Estimate
 }
 
-// Estimator is a probability estimator that can report its current
-// point estimate and a confidence interval. Binomial (plain Monte
-// Carlo, Wilson score interval) and Weighted (importance-weighted
-// rare-event sampling, normal-approximation interval) implement it.
-type Estimator interface {
-	// Rate returns the current point estimate.
-	Rate() float64
-	// CI returns the confidence interval at the given z value
-	// (z = 1.96 for ~95%).
-	CI(z float64) CI
-}
-
-// CI returns the Wilson score interval as a CI, making Binomial an
-// Estimator.
+// CI returns the Wilson score interval as a CI.
 func (b Binomial) CI(z float64) CI {
 	lo, hi := b.WilsonInterval(z)
 	return CI{Estimate: b.Rate(), Low: lo, High: hi}
-}
-
-// Weighted is an importance-weighted probability estimator: n samples
-// are drawn from a proposal distribution, and each sample carries a
-// likelihood-ratio weight w so that E[w·x] under the proposal equals
-// the target probability P(x=1). The Monte Carlo layer's rare-event
-// path accumulates it per shard; sums must be folded in a fixed order
-// for bit-reproducibility (float addition is not associative).
-type Weighted struct {
-	// N is the number of proposal draws.
-	N int
-	// SumWX and SumW2X2 accumulate Σ w·x and Σ (w·x)² over the draws
-	// (x is the 0/1 event indicator, so only event draws contribute).
-	SumWX, SumW2X2 float64
-	// Hits counts raw event draws under the proposal (diagnostics and
-	// the zero-hit interval below).
-	Hits int
-	// MaxW bounds any single sample weight; it calibrates the
-	// conservative upper bound reported when no event was seen.
-	MaxW float64
-}
-
-// Rate returns the importance-weighted estimate Σ w·x / n.
-func (w Weighted) Rate() float64 {
-	if w.N == 0 {
-		return 0
-	}
-	return w.SumWX / float64(w.N)
-}
-
-// Add folds another accumulator into w (counts are exact; float sums
-// inherit the caller's fold order).
-func (w *Weighted) Add(o Weighted) {
-	w.N += o.N
-	w.SumWX += o.SumWX
-	w.SumW2X2 += o.SumW2X2
-	w.Hits += o.Hits
-	if o.MaxW > w.MaxW {
-		w.MaxW = o.MaxW
-	}
-}
-
-// CI returns the normal-approximation interval for the weighted mean,
-// clamped to [0, 1]. With no observed event the point estimate is 0 and
-// the upper bound is the "rule of three" analogue 3·MaxW/n — the
-// tightest statement a weighted zero supports at ~95% confidence.
-func (w Weighted) CI(z float64) CI {
-	if w.N == 0 {
-		return CI{Estimate: 0, Low: 0, High: 1}
-	}
-	n := float64(w.N)
-	m := w.Rate()
-	if w.Hits == 0 || w.SumWX == 0 {
-		return CI{Estimate: 0, Low: 0, High: math.Min(1, 3*w.MaxW/n)}
-	}
-	// Sample variance of the per-draw terms w·x around their mean.
-	varTerm := w.SumW2X2/n - m*m
-	if w.N > 1 {
-		varTerm *= n / (n - 1)
-	}
-	if varTerm < 0 {
-		varTerm = 0
-	}
-	se := math.Sqrt(varTerm / n)
-	lo := m - z*se
-	hi := m + z*se
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return CI{Estimate: m, Low: lo, High: hi}
 }
 
 // FixedShotsForTarget returns the smallest plain Monte Carlo budget at

@@ -94,45 +94,10 @@ func TestCIRelWidth(t *testing.T) {
 // TestBinomialIsEstimator: the CI view must agree exactly with the
 // underlying WilsonInterval — same floats, not a reimplementation.
 func TestBinomialIsEstimator(t *testing.T) {
-	var e Estimator = Binomial{Successes: 38, Trials: 40000}
-	ci := e.CI(1.96)
+	ci := Binomial{Successes: 38, Trials: 40000}.CI(1.96)
 	lo, hi := Binomial{Successes: 38, Trials: 40000}.WilsonInterval(1.96)
 	if ci.Low != lo || ci.High != hi || ci.Estimate != 38.0/40000 {
 		t.Fatalf("CI view %+v disagrees with WilsonInterval [%v, %v]", ci, lo, hi)
-	}
-}
-
-func TestWeightedEstimator(t *testing.T) {
-	// Plain counting expressed as unit weights must reproduce the raw
-	// rate, and its interval must bracket it.
-	w := Weighted{N: 10000, SumWX: 83, SumW2X2: 83, Hits: 83, MaxW: 1}
-	if r := w.Rate(); r != 0.0083 {
-		t.Fatalf("unit-weight rate %v, want 0.0083", r)
-	}
-	ci := w.CI(1.96)
-	if ci.Low <= 0 || ci.High >= 1 || ci.Low > ci.Estimate || ci.High < ci.Estimate {
-		t.Fatalf("malformed weighted CI %+v", ci)
-	}
-
-	// Zero hits: rule-of-three style upper bound scaled by the weight cap.
-	zero := Weighted{N: 1000, MaxW: 5}
-	zci := zero.CI(1.96)
-	if zci.Estimate != 0 || zci.Low != 0 || zci.High != 3*5.0/1000 {
-		t.Fatalf("zero-hit CI %+v, want upper bound 3·MaxW/n", zci)
-	}
-
-	// Empty accumulator stays maximally uncertain.
-	if eci := (Weighted{}).CI(1.96); eci.High != 1 {
-		t.Fatalf("empty estimator CI %+v must span [0, 1]", eci)
-	}
-
-	// Fold order: counts are exact, so Add of split halves matches the
-	// whole for the integer fields.
-	var a Weighted
-	a.Add(Weighted{N: 500, SumWX: 40, SumW2X2: 40, Hits: 40, MaxW: 1})
-	a.Add(Weighted{N: 9500, SumWX: 43, SumW2X2: 43, Hits: 43, MaxW: 1})
-	if a.N != w.N || a.Hits != w.Hits || a.Rate() != w.Rate() {
-		t.Fatalf("folded %+v != whole %+v", a, w)
 	}
 }
 

@@ -17,8 +17,9 @@ package sweep
 // a single fixed run of the granted budget would use, stopping is
 // evaluated only at checkpoints drawn from a canonical ladder, and ties
 // in the widest-interval scheduler break by canonical point order. The
-// worker count and the execution chunk size (Increment) are therefore
-// invisible in every granted budget and every emitted byte.
+// worker count is therefore invisible in every granted budget and every
+// emitted byte. Every point, rare or not, is estimated by the same plain
+// Monte Carlo tally (Pipeline.RunFrom) that a fixed budget uses.
 
 import (
 	"fmt"
@@ -47,50 +48,29 @@ const (
 	StopInfeasible = "infeasible"
 )
 
-// Estimator names recorded in Record.Estimator.
-const (
-	// EstimatorMC is plain Monte Carlo counting with Wilson intervals.
-	EstimatorMC = "mc"
-	// EstimatorImportance is the rare-event importance-sampling path.
-	EstimatorImportance = "importance"
-)
+// EstimatorMC is the Record.Estimator value of every feasible point:
+// plain Monte Carlo counting with Wilson intervals.
+const EstimatorMC = "mc"
+
+// stopZ is the normal quantile of the stopping rule's interval (~95%),
+// the same z the record's interval columns use.
+const stopZ = 1.96
+
+// firstCheckpoint is the ladder's base: every feasible point runs one
+// shard before any stopping decision.
+const firstCheckpoint = mc.ShardShots
 
 // AdaptiveConfig tunes the sequential allocator. The zero value of each
-// field selects the documented default; set RareP negative to disable
-// the importance-sampling path entirely.
+// field selects the documented default.
 type AdaptiveConfig struct {
 	// TargetRCI is the convergence target: a point stops once the
 	// relative width (high-low)/estimate of its joint-observable CI
 	// drops to this value (default 0.2). An estimate of zero counts as
 	// unconverged.
 	TargetRCI float64
-	// MinShots is the first checkpoint — every feasible point runs at
-	// least this many shots (aligned up to mc.ShardShots) before any
-	// stopping decision. Default 4096.
-	MinShots int
 	// MaxShots caps any single point's grant (default 1<<20). The cap is
 	// aligned down to mc.ShardShots.
 	MaxShots int
-	// Increment is the execution chunk between progress updates: shots
-	// toward the next checkpoint run in RunFrom slices of at most this
-	// size. It never affects grants or statistics — checkpoints, not
-	// increments, are where decisions happen. Default 16384.
-	Increment int
-	// RareP selects the importance-sampling estimator for points whose
-	// physical error rate p is at or below it (default 1e-4). Negative
-	// disables importance sampling; the choice is a pure function of the
-	// point, never of observed data.
-	RareP float64
-	// Boost multiplies mechanism probabilities in the importance
-	// sampler's proposal (default 2). Useful values are small: the DEM's
-	// total mechanism rate is O(1) even at low p, so large boosts
-	// explode the likelihood-weight variance faster than they enrich
-	// failures.
-	Boost float64
-	// Z is the normal quantile of the stopping rule's interval (default
-	// 1.96, ~95%). Record interval columns stay at 1.96 regardless, so
-	// the schema's meaning is stable.
-	Z float64
 }
 
 // WithDefaults resolves zero fields to the documented defaults.
@@ -98,31 +78,10 @@ func (a AdaptiveConfig) WithDefaults() AdaptiveConfig {
 	if a.TargetRCI == 0 {
 		a.TargetRCI = 0.2
 	}
-	if a.MinShots == 0 {
-		a.MinShots = 4096
-	}
 	if a.MaxShots == 0 {
 		a.MaxShots = 1 << 20
 	}
-	if a.Increment == 0 {
-		a.Increment = 16384
-	}
-	if a.RareP == 0 {
-		a.RareP = 1e-4
-	}
-	if a.Boost == 0 {
-		a.Boost = 2
-	}
-	if a.Z == 0 {
-		a.Z = 1.96
-	}
 	return a
-}
-
-// usesImportance reports whether a point at physical rate p takes the
-// rare-event path.
-func (a AdaptiveConfig) usesImportance(p float64) bool {
-	return a.RareP > 0 && p <= a.RareP
 }
 
 func alignUpShards(n int) int {
@@ -139,18 +98,6 @@ func alignDownShards(n int) int {
 	return n / mc.ShardShots * mc.ShardShots
 }
 
-// firstCheckpoint is the ladder's base: MinShots aligned up to a shard.
-func (a AdaptiveConfig) firstCheckpoint() int {
-	c := alignUpShards(a.MinShots)
-	if c == 0 {
-		c = mc.ShardShots
-	}
-	if m := a.maxCheckpoint(); c > m {
-		c = m
-	}
-	return c
-}
-
 // maxCheckpoint is MaxShots aligned down to a shard (at least one).
 func (a AdaptiveConfig) maxCheckpoint() int {
 	m := alignDownShards(a.MaxShots)
@@ -163,9 +110,9 @@ func (a AdaptiveConfig) maxCheckpoint() int {
 // nextCheckpoint advances the canonical ladder: 5/4 growth aligned up
 // to a shard (so consecutive checkpoints differ by at least one shard),
 // capped at maxCheckpoint. Decisions are evaluated only at ladder
-// values, which is what makes grants independent of Increment and of
-// the worker count; the modest growth factor caps budget overshoot past
-// the point where a coarser doubling ladder would stop at ~25%.
+// values, which is what makes grants independent of the worker count;
+// the modest growth factor caps budget overshoot past the point where a
+// coarser doubling ladder would stop at ~25%.
 func (a AdaptiveConfig) nextCheckpoint(c int) int {
 	n := alignUpShards(c + c/4)
 	if n <= c {
@@ -185,70 +132,35 @@ type pointRunner struct {
 	// pl is a shallow copy of the cached pipeline with this campaign's
 	// worker count; nil for infeasible points.
 	pl      *mc.Pipeline
-	sampler *mc.ImportanceSampler // non-nil on the rare-event path
 	granted int
-	plain   mc.LERResult
-	tally   mc.WeightedTally
+	tally   mc.LERResult
 	ci      stats.CI // joint CI at the last checkpoint
 	stopped bool
 	reason  string
 	started time.Time
 }
 
-// jointEstimator views the accumulated statistics as a stats.Estimator.
-func (r *pointRunner) jointEstimator() stats.Estimator {
-	if r.sampler != nil {
-		return r.tally.Estimator(surface.ObsJoint)
-	}
-	return stats.Binomial{Successes: r.plain.Errors[surface.ObsJoint], Trials: r.plain.Shots}
-}
-
 // relCI is the scheduler's priority: wider is needier, +Inf when the
 // estimate is still zero.
 func (r *pointRunner) relCI() float64 { return r.ci.RelWidth() }
 
-// advance runs shots [granted, to) in Increment-sized chunks, folding
-// each chunk into the accumulated statistics exactly as a single run of
-// the full range would, then re-evaluates the joint CI. ShotProgress
-// observes (point-cumulative shots, current checkpoint target): the
-// total grows monotonically as the allocator grants more, which is the
-// contract progress consumers rely on.
-func (r *pointRunner) advance(to int, cfg Config, acfg AdaptiveConfig) {
-	for r.granted < to {
-		if ctxErr(cfg.Ctx) != nil {
-			// Canceled: stop advancing. The caller surfaces the ctx error
-			// and discards every record, so the partial fold is never
-			// observable.
-			return
-		}
-		chunkEnd := r.granted + acfg.Increment
-		if chunkEnd > to {
-			chunkEnd = to
-		}
-		base := r.granted
-		if r.sampler != nil {
-			parts := r.sampler.RunShards(cfg.Ctx, base, chunkEnd, r.rec.Seed, cfg.Workers)
-			done := 0
-			for _, part := range parts {
-				// Per-shard folds in shard order: the bit-identity
-				// contract of the weighted sums.
-				r.tally.Fold(part)
-				done += part.Shots
-				if cfg.ShotProgress != nil {
-					cfg.ShotProgress(base+done, to)
-				}
-			}
-		} else {
-			pl := *r.pl
-			if cfg.ShotProgress != nil {
-				sp := cfg.ShotProgress
-				pl.Progress = func(done, _ int) { sp(base+done, to) }
-			}
-			r.plain.Merge(pl.RunFrom(base, chunkEnd, r.rec.Seed))
-		}
-		r.granted = chunkEnd
+// advance runs shots [granted, to) and merges them into the
+// accumulated tally exactly as a single run of the full range would,
+// then re-evaluates the joint CI. RunFrom observes cancellation once per
+// shard; a canceled tally is partial, and the caller discards every
+// record. ShotProgress observes (point-cumulative shots, current
+// checkpoint target): the total grows monotonically as the allocator
+// grants more, which is the contract progress consumers rely on.
+func (r *pointRunner) advance(to int, cfg Config) {
+	base := r.granted
+	pl := *r.pl
+	if sp := cfg.ShotProgress; sp != nil {
+		pl.Progress = func(done, _ int) { sp(base+done, to) }
 	}
-	r.ci = r.jointEstimator().CI(acfg.Z)
+	r.tally.Merge(pl.RunFrom(base, to, r.rec.Seed))
+	r.granted = to
+	joint := stats.Binomial{Successes: r.tally.Errors[surface.ObsJoint], Trials: r.tally.Shots}
+	r.ci = joint.CI(stopZ)
 }
 
 // stop marks the runner finished; converged wins over the caller's
@@ -270,12 +182,9 @@ func (r *pointRunner) finalize() Record {
 	rec.Shots = r.granted
 	rec.ShotsGranted = r.granted
 	rec.StopReason = r.reason
-	if r.sampler != nil {
-		rec.Estimator = EstimatorImportance
-		rec.fillStatsWeighted(r.tally)
-	} else if rec.Feasible {
+	if rec.Feasible {
 		rec.Estimator = EstimatorMC
-		rec.fillStats(r.plain)
+		rec.fillStats(r.tally)
 	}
 	rec.WallMs = float64(time.Since(r.started)) / float64(time.Millisecond)
 	return rec
@@ -283,7 +192,7 @@ func (r *pointRunner) finalize() Record {
 
 // newPointRunner resolves one point and prepares its execution state
 // (infeasible points come back already stopped).
-func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config, acfg AdaptiveConfig) (*pointRunner, error) {
+func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config) (*pointRunner, error) {
 	r := &pointRunner{pt: pt, index: index, rec: newRecord(pt, cfg), started: time.Now()}
 	spec, plan, ok := pt.Resolve()
 	r.rec.Feasible = ok
@@ -305,13 +214,6 @@ func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config, acfg Ada
 	pl.Ctx = cfg.Ctx
 	pl.Metrics = cfg.Metrics
 	r.pl = &pl
-	if acfg.usesImportance(pt.P) {
-		s, err := mc.NewImportanceSampler(pl.Model, pl.Graph, acfg.Boost)
-		if err != nil {
-			return nil, fmt.Errorf("importance sampler: %w", err)
-		}
-		r.sampler = s
-	}
 	return r, nil
 }
 
@@ -322,13 +224,15 @@ func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config, acfg Ada
 // widest-relative-CI point is repeatedly advanced to its next ladder
 // checkpoint until all runners stop.
 func allocate(runners []*pointRunner, budget int, cfg Config, acfg AdaptiveConfig) {
-	c0 := acfg.firstCheckpoint()
 	for _, r := range runners {
+		if ctxErr(cfg.Ctx) != nil {
+			return
+		}
 		if r.stopped {
 			continue
 		}
-		budget -= c0
-		r.advance(c0, cfg, acfg)
+		budget -= firstCheckpoint
+		r.advance(firstCheckpoint, cfg)
 		if r.relCI() <= acfg.TargetRCI {
 			r.stop(StopConverged, acfg)
 		} else if r.granted >= acfg.maxCheckpoint() {
@@ -372,7 +276,7 @@ func allocate(runners []*pointRunner, budget int, cfg Config, acfg AdaptiveConfi
 			exhausted = true
 		}
 		budget -= cost
-		best.advance(next, cfg, acfg)
+		best.advance(next, cfg)
 		switch {
 		case best.relCI() <= acfg.TargetRCI:
 			best.stop(StopConverged, acfg)
@@ -398,7 +302,7 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 			sum.Skipped++
 			continue
 		}
-		r, err := newPointRunner(cache, pt, i, cfg, acfg)
+		r, err := newPointRunner(cache, pt, i, cfg)
 		if err != nil {
 			return sum, fmt.Errorf("sweep: point %s: %w", pt.Key(), err)
 		}
@@ -427,7 +331,7 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 // configured budget, it just stops spending once converged. The
 // simulation service's one-point jobs go through this path.
 func executeAdaptivePoint(cache *BuildCache, pt Point, cfg Config, acfg AdaptiveConfig) (Record, error) {
-	r, err := newPointRunner(cache, pt, 0, cfg, acfg)
+	r, err := newPointRunner(cache, pt, 0, cfg)
 	if err != nil {
 		return Record{}, err
 	}

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -39,15 +41,14 @@ func collectAdaptive(t *testing.T, g Grid, cfg Config, cache *BuildCache) ([]Rec
 
 // TestAdaptiveDeterminism is the allocator's half of the determinism
 // contract: with a fixed campaign seed, runs with different worker
-// counts AND different execution increments must grant identical
-// (point, seed, shots-granted) triples and emit byte-identical records.
+// counts must grant identical (point, seed, shots-granted) triples and
+// emit byte-identical records.
 // The budget is sized so the rarest point exhausts the pool, so the
 // exhaustion path is covered by the byte comparison too.
 func TestAdaptiveDeterminism(t *testing.T) {
 	g := adaptiveGrid([]float64{1e-2, 1e-3, 1e-4})
 	cache := NewBuildCache()
-	base := Config{Shots: 16384, Seed: 4242, Workers: 1,
-		Adaptive: &AdaptiveConfig{Increment: 4096}}
+	base := Config{Shots: 16384, Seed: 4242, Workers: 1, Adaptive: &AdaptiveConfig{}}
 	refRecs, refRaw := collectAdaptive(t, g, base, cache)
 	ref := canonicalJSONL(t, refRaw)
 	if len(refRecs) != 3 {
@@ -62,22 +63,19 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, variant := range []Config{
-		{Shots: 16384, Seed: 4242, Workers: 4, Adaptive: &AdaptiveConfig{Increment: 8192}},
-		{Shots: 16384, Seed: 4242, Workers: 7, Adaptive: &AdaptiveConfig{Increment: 20480}},
-	} {
+	for _, workers := range []int{4, 7} {
+		variant := base
+		variant.Workers = workers
 		recs, raw := collectAdaptive(t, g, variant, cache)
 		for i, rec := range recs {
 			want := refRecs[i]
 			if rec.Key != want.Key || rec.Seed != want.Seed || rec.ShotsGranted != want.ShotsGranted {
-				t.Fatalf("workers=%d increment=%d: triple (%s, %d, %d) != reference (%s, %d, %d)",
-					variant.Workers, variant.Adaptive.Increment,
+				t.Fatalf("workers=%d: triple (%s, %d, %d) != reference (%s, %d, %d)", workers,
 					rec.Key, rec.Seed, rec.ShotsGranted, want.Key, want.Seed, want.ShotsGranted)
 			}
 		}
 		if got := canonicalJSONL(t, raw); got != ref {
-			t.Fatalf("workers=%d increment=%d: records not byte-identical:\n%s\nvs reference:\n%s",
-				variant.Workers, variant.Adaptive.Increment, got, ref)
+			t.Fatalf("workers=%d: records not byte-identical:\n%s\nvs reference:\n%s", workers, got, ref)
 		}
 	}
 }
@@ -111,12 +109,8 @@ func TestAdaptiveSavesShots(t *testing.T) {
 		if rci := (rec.JointWilsonHigh - rec.JointWilsonLow) / rec.JointRate; rci > target {
 			t.Fatalf("point %s converged but reports relative CI %v > %v", rec.Key, rci, target)
 		}
-		wantEst := EstimatorMC
-		if rec.P <= 1e-4 {
-			wantEst = EstimatorImportance
-		}
-		if rec.Estimator != wantEst {
-			t.Fatalf("point %s (p=%v) used estimator %q, want %q", rec.Key, rec.P, rec.Estimator, wantEst)
+		if rec.Estimator != EstimatorMC {
+			t.Fatalf("point %s (p=%v) used estimator %q, want %q", rec.Key, rec.P, rec.Estimator, EstimatorMC)
 		}
 		granted += rec.ShotsGranted
 		// The fixed budget that reaches the target on every point is set
@@ -137,32 +131,35 @@ func TestAdaptiveSavesShots(t *testing.T) {
 // TestAdaptiveRecordPurity: a record produced under adaptive allocation
 // must be exactly the record of a fixed run of the granted budget —
 // statistics are a pure function of (point, seed, shots-granted), never
-// of the allocation history.
+// of the allocation history. The p = 1e-4 row is the rare regime, where
+// every point is estimated by the same plain tally as a fixed run.
 func TestAdaptiveRecordPurity(t *testing.T) {
-	g := adaptiveGrid([]float64{1e-3})
-	cache := NewBuildCache()
-	recs, _ := collectAdaptive(t, g,
-		Config{Shots: 65536, Seed: 99, Adaptive: &AdaptiveConfig{TargetRCI: 0.15}}, cache)
-	rec := recs[0]
-	if rec.Estimator != EstimatorMC || rec.ShotsGranted <= 4096 {
-		t.Fatalf("test point should take several plain-MC checkpoints, got %+v", rec)
-	}
+	for _, p := range []float64{1e-3, 1e-4} {
+		g := adaptiveGrid([]float64{p})
+		cache := NewBuildCache()
+		recs, _ := collectAdaptive(t, g,
+			Config{Shots: 65536, Seed: 99, Adaptive: &AdaptiveConfig{TargetRCI: 0.15}}, cache)
+		rec := recs[0]
+		if rec.Estimator != EstimatorMC || rec.ShotsGranted <= 4096 {
+			t.Fatalf("p=%v: test point should take several plain-MC checkpoints, got %+v", p, rec)
+		}
 
-	pts, err := g.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := ExecutePoint(cache, pts[0], Config{Shots: rec.ShotsGranted, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.Seed != rec.Seed || fixed.Shots != rec.Shots ||
-		fixed.JointErrors != rec.JointErrors || fixed.JointRate != rec.JointRate ||
-		fixed.JointWilsonLow != rec.JointWilsonLow || fixed.JointWilsonHigh != rec.JointWilsonHigh ||
-		fixed.SingleErrors != rec.SingleErrors || fixed.SingleRate != rec.SingleRate ||
-		fixed.SingleWilsonLow != rec.SingleWilsonLow || fixed.SingleWilsonHigh != rec.SingleWilsonHigh ||
-		fixed.MeanHammingWeight != rec.MeanHammingWeight {
-		t.Fatalf("adaptive record is not a pure function of the grant:\nadaptive: %+v\nfixed:    %+v", rec, fixed)
+		pts, err := g.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed, err := ExecutePoint(cache, pts[0], Config{Shots: rec.ShotsGranted, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed.Seed != rec.Seed || fixed.Shots != rec.Shots ||
+			fixed.JointErrors != rec.JointErrors || fixed.JointRate != rec.JointRate ||
+			fixed.JointWilsonLow != rec.JointWilsonLow || fixed.JointWilsonHigh != rec.JointWilsonHigh ||
+			fixed.SingleErrors != rec.SingleErrors || fixed.SingleRate != rec.SingleRate ||
+			fixed.SingleWilsonLow != rec.SingleWilsonLow || fixed.SingleWilsonHigh != rec.SingleWilsonHigh ||
+			fixed.MeanHammingWeight != rec.MeanHammingWeight {
+			t.Fatalf("p=%v: adaptive record is not a pure function of the grant:\nadaptive: %+v\nfixed:    %+v", p, rec, fixed)
+		}
 	}
 }
 
@@ -209,6 +206,29 @@ func TestAdaptiveShotProgress(t *testing.T) {
 	}
 	if maxDone != rec.ShotsGranted || lastTotal != rec.ShotsGranted {
 		t.Fatalf("final progress (%d/%d) must land on the granted budget %d", maxDone, lastTotal, rec.ShotsGranted)
+	}
+}
+
+// TestAdaptiveCancel: a campaign canceled mid-allocation returns the
+// context's error and emits no record, because its tallies may be
+// partial.
+func TestAdaptiveCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var recs sliceSink
+	cfg := Config{Shots: 1 << 20, Seed: 5, Workers: 2, Ctx: ctx,
+		Adaptive: &AdaptiveConfig{TargetRCI: 0.01},
+		ShotProgress: func(done, _ int) {
+			if done >= 2*firstCheckpoint {
+				cancel()
+			}
+		}}
+	camp := &Campaign{Grid: adaptiveGrid([]float64{1e-3, 1e-4}), Config: cfg, Sinks: []Sink{&recs}}
+	if _, err := camp.Run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled campaign returned %v, want context.Canceled", err)
+	}
+	if len(recs.recs) != 0 {
+		t.Fatalf("canceled campaign emitted %d records", len(recs.recs))
 	}
 }
 
@@ -261,10 +281,10 @@ func TestFixedRecordStopFields(t *testing.T) {
 // strictly increasing, capped.
 func TestCheckpointLadder(t *testing.T) {
 	a := AdaptiveConfig{}.WithDefaults()
-	if c0 := a.firstCheckpoint(); c0 != 4096 {
-		t.Fatalf("first checkpoint %d, want 4096", c0)
+	if firstCheckpoint != 4096 {
+		t.Fatalf("first checkpoint %d, want 4096", firstCheckpoint)
 	}
-	c, seen := a.firstCheckpoint(), 0
+	c, seen := firstCheckpoint, 0
 	for c < a.maxCheckpoint() {
 		n := a.nextCheckpoint(c)
 		if n <= c || n%4096 != 0 {
@@ -283,9 +303,8 @@ func TestCheckpointLadder(t *testing.T) {
 	if c != a.maxCheckpoint() {
 		t.Fatalf("ladder must end at the cap: %d != %d", c, a.maxCheckpoint())
 	}
-	// Unaligned configs are aligned, not rejected.
-	b := AdaptiveConfig{MinShots: 5000, MaxShots: 100000}.WithDefaults()
-	if b.firstCheckpoint() != 8192 || b.maxCheckpoint() != 98304 {
-		t.Fatalf("alignment: first=%d max=%d", b.firstCheckpoint(), b.maxCheckpoint())
+	// An unaligned cap is aligned down, not rejected.
+	if m := (AdaptiveConfig{MaxShots: 100000}).WithDefaults().maxCheckpoint(); m != 98304 {
+		t.Fatalf("alignment: max=%d, want 98304", m)
 	}
 }

@@ -15,13 +15,27 @@ const manifestVersion = 1
 // manifestHeader is the first line of a manifest file. It pins the
 // campaign identity so a manifest can never silently resume a different
 // campaign: the grid hash covers every point key in canonical order, and
-// seed/shots cover the execution parameters that feed the records.
+// seed/shots cover the execution parameters that feed the records. An
+// adaptive campaign also pins its resolved budget knobs; they are
+// omitted for a fixed campaign, so fixed manifests written before the
+// knobs were pinned still resume.
 type manifestHeader struct {
-	Version  int    `json:"version"`
-	Seed     uint64 `json:"seed"`
-	Shots    int    `json:"shots"`
-	Points   int    `json:"points"`
-	GridHash uint64 `json:"grid_hash"`
+	Version   int     `json:"version"`
+	Seed      uint64  `json:"seed"`
+	Shots     int     `json:"shots"`
+	Points    int     `json:"points"`
+	GridHash  uint64  `json:"grid_hash"`
+	TargetRCI float64 `json:"target_rci,omitempty"`
+	MaxShots  int     `json:"max_shots,omitempty"`
+}
+
+// String renders the identity for mismatch errors.
+func (h manifestHeader) String() string {
+	s := fmt.Sprintf("seed=%d shots=%d points=%d grid=%#x", h.Seed, h.Shots, h.Points, h.GridHash)
+	if h.TargetRCI == 0 {
+		return s + " fixed"
+	}
+	return s + fmt.Sprintf(" adaptive target_rci=%g max_shots=%d", h.TargetRCI, h.MaxShots)
 }
 
 // GridHash fingerprints a point list: FNV-1a over every canonical point
@@ -48,12 +62,18 @@ type Manifest struct {
 
 // OpenManifest creates the manifest at path, or resumes the one already
 // there. Resuming verifies the stored campaign identity (seed, shots,
-// grid hash) and fails rather than mixing records from two different
-// campaigns in one output directory.
-func OpenManifest(path string, seed uint64, shots int, pts []Point) (*Manifest, error) {
+// grid hash and, for an adaptive campaign, its resolved target and cap)
+// and fails rather than mixing records from two different campaigns in
+// one output directory. cfg is resolved with WithDefaults, as Run does.
+func OpenManifest(path string, cfg Config, pts []Point) (*Manifest, error) {
+	cfg = cfg.WithDefaults()
 	want := manifestHeader{
-		Version: manifestVersion, Seed: seed, Shots: shots,
+		Version: manifestVersion, Seed: cfg.Seed, Shots: cfg.Shots,
 		Points: len(pts), GridHash: GridHash(pts),
+	}
+	if cfg.Adaptive != nil {
+		a := cfg.Adaptive.WithDefaults()
+		want.TargetRCI, want.MaxShots = a.TargetRCI, a.MaxShots
 	}
 	data, err := os.ReadFile(path)
 	switch {
@@ -87,10 +107,7 @@ func OpenManifest(path string, seed uint64, shots int, pts []Point) (*Manifest, 
 	}
 	if got != want {
 		return nil, fmt.Errorf("manifest %s belongs to a different campaign "+
-			"(have seed=%d shots=%d points=%d grid=%#x, want seed=%d shots=%d points=%d grid=%#x); "+
-			"use a fresh output directory", path,
-			got.Seed, got.Shots, got.Points, got.GridHash,
-			want.Seed, want.Shots, want.Points, want.GridHash)
+			"(have %v, want %v); use a fresh output directory", path, got, want)
 	}
 	done := make(map[string]bool)
 	for sc.Scan() {

@@ -67,9 +67,7 @@ type Record struct {
 	// infeasible points. StopReason records why the point stopped —
 	// "fixed", "converged", "max-shots", "exhausted" or "infeasible".
 	// Estimator names the statistics path: "mc" (plain counting, Wilson
-	// intervals) or "importance" (rare-event importance sampling: the
-	// error fields count raw proposal-measure hits, rates and interval
-	// bounds are likelihood-weighted with a normal-approximation CI).
+	// intervals) for every feasible point, empty for infeasible ones.
 	ShotsGranted int    `json:"shots_granted"`
 	StopReason   string `json:"stop_reason"`
 	Estimator    string `json:"estimator"`
@@ -90,25 +88,6 @@ func (r *Record) fillStats(res mc.LERResult) {
 	r.SingleRate = single.Rate()
 	r.SingleWilsonLow, r.SingleWilsonHigh = single.WilsonInterval(1.96)
 	r.MeanHammingWeight = res.MeanHammingWeight()
-}
-
-// fillStatsWeighted populates the observable statistics from a
-// rare-event importance tally: error counts are raw proposal-measure
-// hits, rates and interval bounds come from the weighted estimator. The
-// interval columns are always reported at z = 1.96 so the schema means
-// "~95% interval" regardless of the allocator's stopping z.
-func (r *Record) fillStatsWeighted(t mc.WeightedTally) {
-	joint := t.Estimator(surface.ObsJoint)
-	single := t.Estimator(surface.ObsSingle)
-	jci := joint.CI(1.96)
-	sci := single.CI(1.96)
-	r.JointErrors = joint.Hits
-	r.JointRate = jci.Estimate
-	r.JointWilsonLow, r.JointWilsonHigh = jci.Low, jci.High
-	r.SingleErrors = single.Hits
-	r.SingleRate = sci.Estimate
-	r.SingleWilsonLow, r.SingleWilsonHigh = sci.Low, sci.High
-	r.MeanHammingWeight = t.MeanHammingWeight()
 }
 
 // CanonicalJSON renders the record's JSON line with the volatile wall_ms

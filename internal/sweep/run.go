@@ -41,10 +41,10 @@ type Config struct {
 	// allocation (see AdaptiveConfig): Shots becomes a per-point *pool
 	// contribution* — the campaign spends at most Shots × feasible
 	// points in total, allocated to the widest confidence intervals —
-	// and records gain meaningful shots_granted/stop_reason/estimator
-	// fields. Incompatible with MaxPoints (the pool is sized from the
-	// whole grid, so slicing it is ill-defined); Run reports an error
-	// when both are set.
+	// and records gain meaningful shots_granted/stop_reason fields.
+	// Incompatible with MaxPoints (the pool is sized from the whole
+	// grid, so slicing it is ill-defined); Run reports an error when
+	// both are set.
 	Adaptive *AdaptiveConfig
 	// Ctx, when non-nil, cancels execution: Campaign.Run stops between
 	// points, and ExecutePoint stops at Monte Carlo shard boundaries

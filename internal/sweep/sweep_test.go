@@ -257,7 +257,7 @@ func runCampaign(t *testing.T, workers, maxPoints int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		man, err := OpenManifest(filepath.Join(dir, "manifest"), quickCfg.Seed, quickCfg.Shots, pts)
+		man, err := OpenManifest(filepath.Join(dir, "manifest"), quickCfg, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,8 +339,9 @@ func TestManifestRejectsDifferentCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fixed := Config{Seed: 1, Shots: 1024}
 	path := filepath.Join(dir, "manifest")
-	man, err := OpenManifest(path, 1, 1024, pts)
+	man, err := OpenManifest(path, fixed, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,23 +350,60 @@ func TestManifestRejectsDifferentCampaign(t *testing.T) {
 	}
 	man.Close()
 
-	if _, err := OpenManifest(path, 2, 1024, pts); err == nil {
-		t.Fatal("manifest must reject a different campaign seed")
+	adaptive := fixed
+	adaptive.Adaptive = &AdaptiveConfig{TargetRCI: 0.5}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		pts  []Point
+	}{
+		{"seed", Config{Seed: 2, Shots: 1024}, pts},
+		{"shot budget", Config{Seed: 1, Shots: 2048}, pts},
+		{"grid", fixed, pts[:3]},
+		{"fixed to adaptive", adaptive, pts},
+	} {
+		if _, err := OpenManifest(path, tc.cfg, tc.pts); err == nil {
+			t.Fatalf("manifest must reject a different %s", tc.name)
+		}
 	}
-	if _, err := OpenManifest(path, 1, 2048, pts); err == nil {
-		t.Fatal("manifest must reject a different shot budget")
-	}
-	if _, err := OpenManifest(path, 1, 1024, pts[:3]); err == nil {
-		t.Fatal("manifest must reject a different grid")
-	}
-	man, err = OpenManifest(path, 1, 1024, pts)
+	man, err = OpenManifest(path, fixed, pts)
 	if err != nil {
 		t.Fatalf("same campaign must resume: %v", err)
 	}
-	defer man.Close()
 	if !man.Done(pts[0].Key()) || man.Done(pts[1].Key()) || man.NumDone() != 1 {
 		t.Fatal("resumed manifest lost the completed point set")
 	}
+	man.Close()
+
+	// An adaptive campaign pins its resolved budget knobs: another
+	// target, another cap, or a fixed budget is a different campaign.
+	apath := filepath.Join(dir, "adaptive-manifest")
+	if man, err = OpenManifest(apath, adaptive, pts); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  *AdaptiveConfig
+	}{
+		{"adaptive to fixed", nil},
+		{"target_rci", &AdaptiveConfig{TargetRCI: 0.3}},
+		{"max_shots", &AdaptiveConfig{TargetRCI: 0.5, MaxShots: 1 << 16}},
+	} {
+		cfg := fixed
+		cfg.Adaptive = tc.cfg
+		if _, err := OpenManifest(apath, cfg, pts); err == nil {
+			t.Fatalf("adaptive manifest must reject a different %s", tc.name)
+		}
+	}
+	// The same campaign resumes, with the cap given explicitly at its
+	// default: the header pins resolved values, not flag spellings.
+	same := fixed
+	same.Adaptive = &AdaptiveConfig{TargetRCI: 0.5, MaxShots: 1 << 20}
+	if man, err = OpenManifest(apath, same, pts); err != nil {
+		t.Fatalf("same adaptive campaign must resume: %v", err)
+	}
+	man.Close()
 }
 
 func TestInfeasiblePointsAreRecorded(t *testing.T) {

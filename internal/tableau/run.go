@@ -153,10 +153,3 @@ func applyPauli(s *Sim, q int32, pauli int) {
 		s.Z(q)
 	}
 }
-
-// ReferenceSample runs the circuit noiselessly and returns the
-// measurement record. Detector and observable parities of the reference
-// run are also returned so samplers can flip against them.
-func ReferenceSample(c *circuit.Circuit, rng *rand.Rand) *RunResult {
-	return Run(c, rng, false)
-}

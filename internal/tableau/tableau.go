@@ -240,24 +240,3 @@ func (s *Sim) Reset(q int32) {
 		s.X(q)
 	}
 }
-
-// ExpectationZ returns the deterministic value of Z on qubit q if fixed:
-// (+1 → 0,true), (−1 → 1,true); random → (false in second result).
-func (s *Sim) ExpectationZ(q int32) (value bool, fixed bool) {
-	s.check(q)
-	w := int(q) / 64
-	mask := uint64(1) << (uint(q) % 64)
-	for i := s.n; i < 2*s.n; i++ {
-		if s.x[i][w]&mask != 0 {
-			return false, false
-		}
-	}
-	scratch := 2 * s.n
-	s.zeroRow(scratch)
-	for i := 0; i < s.n; i++ {
-		if s.x[i][w]&mask != 0 {
-			s.rowsum(scratch, i+s.n)
-		}
-	}
-	return s.r[scratch] == 2, true
-}

@@ -122,21 +122,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestExpectationZ(t *testing.T) {
-	s := New(2, stats.NewRand(8))
-	if v, fixed := s.ExpectationZ(0); !fixed || v {
-		t.Fatal("|0> must have fixed Z=+1")
-	}
-	s.H(0)
-	if _, fixed := s.ExpectationZ(0); fixed {
-		t.Fatal("|+> must have random Z")
-	}
-	s.X(1)
-	if v, fixed := s.ExpectationZ(1); !fixed || !v {
-		t.Fatal("|1> must have fixed Z=-1")
-	}
-}
-
 // TestStabilizerInvariant (property): after random Clifford circuits, the
 // tableau rows remain a valid symplectic basis — checked indirectly by
 // measuring every qubit twice and requiring the second measurement to be

@@ -19,7 +19,6 @@ package worker
 import (
 	"context"
 	"errors"
-	"net/http"
 	"sync"
 	"time"
 
@@ -47,8 +46,6 @@ type Options struct {
 	// Poll is the idle sleep between lease requests that found no work
 	// (0 = 500ms).
 	Poll time.Duration
-	// HTTPClient overrides the transport (nil = http.DefaultClient).
-	HTTPClient *http.Client
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// BeforeExecute, when non-nil, runs before each leased unit executes,
@@ -118,7 +115,6 @@ func New(opts Options) (*Worker, error) {
 		cache = sweep.NewBuildCache()
 	}
 	client := service.NewClient(opts.Coordinator)
-	client.HTTPClient = opts.HTTPClient
 	client.Retry = service.DefaultRetryPolicy()
 	w := &Worker{
 		opts:   opts,

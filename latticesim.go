@@ -194,7 +194,9 @@ type (
 	SweepConfig = sweep.Config
 	// SweepAdaptive switches a campaign to adaptive shot allocation:
 	// sequential stopping on confidence-interval width with budget
-	// reallocation across points (EXPERIMENTS.md §12). Set it as
+	// reallocation across points, every point estimated by plain Monte
+	// Carlo (EXPERIMENTS.md §12). Its two knobs are the convergence
+	// target TargetRCI and the per-point cap MaxShots. Set it as
 	// SweepConfig.Adaptive.
 	SweepAdaptive = sweep.AdaptiveConfig
 	// SweepRecord is the machine-readable result of one campaign point.
