@@ -74,8 +74,9 @@ func printStatus(ctx context.Context, w io.Writer, client *service.Client, addr 
 		st.Attempts, st.Requeues, st.Cancellations, st.IntegrityChecks, st.IntegrityFailures)
 	fmt.Fprintf(w, "  fleet     workers %d  active leases %d  campaigns %d\n",
 		st.Workers, st.ActiveLeases, st.Campaigns)
-	fmt.Fprintf(w, "  store     hits %d  puts %d  corruptions %d   build cache %d hits / %d misses\n",
-		st.StoreHits, st.StorePuts, st.StoreCorruptions, st.BuildHits, st.BuildMisses)
+	fmt.Fprintf(w, "  store     hits %d  puts %d  corruptions %d   build cache %d hits / %d misses / %d evictions, %.1f MiB\n",
+		st.StoreHits, st.StorePuts, st.StoreCorruptions, st.BuildHits, st.BuildMisses,
+		st.BuildEvictions, float64(st.BuildBytes)/(1<<20))
 
 	if workers, err := client.Workers(ctx); err == nil && len(workers) > 0 {
 		fmt.Fprintln(w, "  nodes:")

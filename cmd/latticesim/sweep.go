@@ -158,6 +158,7 @@ Flags:`)
 	camp := &sweep.Campaign{
 		Grid:     grid,
 		Config:   cfg,
+		Cache:    sweep.NewBuildCache(),
 		Manifest: manifest,
 		Sinks:    sinks,
 	}
@@ -165,10 +166,9 @@ Flags:`)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(logw, "sweep: %d/%d points executed (%d skipped via manifest, %d infeasible), "+
-		"cache %d hits / %d builds, %v\n",
+	fmt.Fprintf(logw, "sweep: %d/%d points executed (%d skipped via manifest, %d infeasible), %s, %v\n",
 		sum.Executed, sum.Points, sum.Skipped, sum.Infeasible,
-		sum.CacheHits, sum.CacheMisses, time.Since(start).Round(time.Millisecond))
+		cacheSummary(camp.Cache), time.Since(start).Round(time.Millisecond))
 	if sum.Interrupted {
 		if manifest != nil {
 			fmt.Fprintln(logw, "sweep: stopped at -max-points; rerun the same command to resume")
@@ -177,6 +177,16 @@ Flags:`)
 		}
 	}
 	return nil
+}
+
+// cacheSummary renders a build cache's closing line for sweep and
+// trace: builds count rebuilds after an eviction, and the size is the
+// estimated heap the cache holds at the end.
+func cacheSummary(c *sweep.BuildCache) string {
+	hits, misses := c.Stats()
+	bytes, evictions := c.Usage()
+	return fmt.Sprintf("cache %d hits / %d builds / %d evictions, %.1f MiB",
+		hits, misses, evictions, float64(bytes)/(1<<20))
 }
 
 // canonicalJSONSink streams each record's canonical JSON line (wall_ms

@@ -176,9 +176,8 @@ Flags:`)
 			}
 		}
 	}
-	hits, misses := base.Cache.Stats()
-	fmt.Fprintf(logw, "[trace done in %v, cache %d hits / %d builds]\n",
-		time.Since(start).Round(time.Millisecond), hits, misses)
+	fmt.Fprintf(logw, "[trace done in %v, %s]\n",
+		time.Since(start).Round(time.Millisecond), cacheSummary(base.Cache))
 	return nil
 }
 

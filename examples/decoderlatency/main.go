@@ -36,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lut := decoder.BuildLUT(pl.Model, lutBytes, 8)
+		lut := decoder.BuildLUT(latticesim.ExtractDEM(res.Circuit), lutBytes, 8)
 		h := &decoder.Hierarchical{
 			LUT:     lut,
 			Slow:    decoder.NewUnionFind(pl.Graph),

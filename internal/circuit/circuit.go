@@ -17,6 +17,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // OpType enumerates the supported instructions.
@@ -169,6 +170,28 @@ func (c *Circuit) NumDetectors() int { return c.numDetectors }
 
 // NumObservables returns one past the highest observable index used.
 func (c *Circuit) NumObservables() int { return c.numObservables }
+
+// Bytes estimates the circuit's heap size: the op list and the target,
+// argument and record arrays of its ops. Builders hand one target list
+// to several ops (a gate layer and its noise), so each backing array is
+// counted once.
+func (c *Circuit) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*c)) + int64(cap(c.Ops))*int64(unsafe.Sizeof(Op{}))
+	seen := make(map[unsafe.Pointer]bool)
+	add := func(data unsafe.Pointer, size int64) {
+		if data != nil && !seen[data] {
+			seen[data] = true
+			n += size
+		}
+	}
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		add(unsafe.Pointer(unsafe.SliceData(op.Targets)), int64(cap(op.Targets))*4)
+		add(unsafe.Pointer(unsafe.SliceData(op.Args)), int64(cap(op.Args))*8)
+		add(unsafe.Pointer(unsafe.SliceData(op.Records)), int64(cap(op.Records))*4)
+	}
+	return n
+}
 
 func (c *Circuit) noteQubits(qs ...int32) {
 	for _, q := range qs {

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"latticesim/internal/dem"
 )
@@ -64,6 +65,19 @@ type UndetectableError struct {
 
 // IsBoundary reports whether node id is a virtual boundary node.
 func (g *Graph) IsBoundary(n int32) bool { return int(n) >= g.NumDetectors }
+
+// Bytes estimates the graph's heap size: its edges, adjacency lists and
+// undetectable-error list.
+func (g *Graph) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*g)) +
+		int64(cap(g.Edges))*int64(unsafe.Sizeof(Edge{})) +
+		int64(cap(g.Adj))*int64(unsafe.Sizeof(g.Adj[0])) +
+		int64(cap(g.Undetectable))*int64(unsafe.Sizeof(UndetectableError{}))
+	for _, a := range g.Adj {
+		n += int64(cap(a)) * 4
+	}
+	return n
+}
 
 // BuildGraph decomposes the DEM into a matchable graph. Errors are split
 // into X-check and Z-check components (using the detector annotations);

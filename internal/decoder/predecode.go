@@ -3,6 +3,7 @@ package decoder
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Sliding-window predecoder (DESIGN.md §13).
@@ -70,6 +71,11 @@ type Predecoder struct {
 	// stay nil: they can never be a defect pair.
 	pair []atomic.Pointer[unitMemo]
 	solo []atomic.Pointer[unitMemo]
+
+	// memoBytes is the estimated heap size of the memos published so
+	// far (memoSize each). Only a fill that wins its slot's
+	// compare-and-swap adds to it, so a lost race is never counted.
+	memoBytes atomic.Int64
 }
 
 // unitMemo is one unit's isolated union-find answer: its prediction
@@ -78,6 +84,12 @@ type Predecoder struct {
 type unitMemo struct {
 	pred uint64
 	infl []int32
+}
+
+// memoSize estimates a memo's heap footprint: the unitMemo and its
+// closure's backing array.
+func memoSize(m *unitMemo) int64 {
+	return int64(unsafe.Sizeof(*m)) + int64(cap(m.infl))*int64(unsafe.Sizeof(m.infl[0]))
 }
 
 // pairCand is one matching candidate: defect v reachable via edge e.
@@ -105,6 +117,23 @@ func NewPredecoder(g *Graph) *Predecoder {
 	}
 	return p
 }
+
+// TableBytes estimates the heap size of what NewPredecoder allocates:
+// the pair-matching adjacency and the empty memo slots. The memos that
+// decodes fill in later are MemoBytes.
+func (p *Predecoder) TableBytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) +
+		int64(len(p.nbr))*int64(unsafe.Sizeof(p.nbr[0])) +
+		int64(len(p.pair)+len(p.solo))*int64(unsafe.Sizeof(p.solo[0]))
+	for _, cands := range p.nbr {
+		n += int64(cap(cands)) * int64(unsafe.Sizeof(pairCand{}))
+	}
+	return n
+}
+
+// MemoBytes estimates the heap size of the unit memos filled so far. It
+// starts at 0 and grows only when a decode publishes a memo.
+func (p *Predecoder) MemoBytes() int64 { return p.memoBytes.Load() }
 
 // dedupNodes returns a sorted copy of nodes without duplicates, using
 // the caller's scratch marker array (cleared before return).
@@ -205,6 +234,7 @@ func (d *Predecoded) fill(slot *atomic.Pointer[unitMemo], defects []int) *unitMe
 	d.closure = closure
 	m := &unitMemo{pred: pred, infl: dedupNodes(closure, d.seen)}
 	if slot.CompareAndSwap(nil, m) {
+		d.t.memoBytes.Add(memoSize(m))
 		return m
 	}
 	return slot.Load()

@@ -131,7 +131,8 @@ func TestPredecoderSoloAndPairMemosMatch(t *testing.T) {
 // make diff repeats the test, because the detector only sees races that
 // happen. The graph is a d=5 memory's (144 detectors): the densities
 // then straddle the attempt gate, so most syndromes reach the memos,
-// and a -race run stays in seconds.
+// and a -race run stays in seconds. MemoBytes must then count exactly
+// the memos published, however many fills lost their race.
 func TestPredecoderConcurrentFill(t *testing.T) {
 	res, err := surface.MemorySpec{D: 5, Basis: surface.BasisZ, HW: hardware.IBM(), P: 1e-3}.Build()
 	if err != nil {
@@ -153,6 +154,9 @@ func TestPredecoderConcurrentFill(t *testing.T) {
 		want[i] = uf.Decode(syndromes[i])
 	}
 	pre := NewPredecoder(g)
+	if n := pre.MemoBytes(); n != 0 {
+		t.Fatalf("fresh predecoder: MemoBytes %d, want 0", n)
+	}
 	const workers = 4
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -174,6 +178,17 @@ func TestPredecoderConcurrentFill(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	var published int64
+	for _, slots := range [][]atomic.Pointer[unitMemo]{pre.pair, pre.solo} {
+		for i := range slots {
+			if m := slots[i].Load(); m != nil {
+				published += memoSize(m)
+			}
+		}
+	}
+	if got := pre.MemoBytes(); got != published || got == 0 {
+		t.Fatalf("MemoBytes %d after concurrent fills, want the %d bytes published", got, published)
+	}
 }
 
 // TestPredecodedDecodeAllocFree: once every unit memo a workload needs

@@ -14,11 +14,10 @@ import (
 	"latticesim/internal/sweep"
 )
 
-// presetCache deduplicates build artifacts across every preset runner in
-// the process. The cache is unbounded by design — it trades memory for
-// cross-figure reuse, and preset grids top out at a few hundred distinct
-// specs even at -maxd 15 (see the BuildCache doc for the sizing
-// argument).
+// presetCache deduplicates built pipelines across every preset runner in
+// the process, within the BuildCache budget (64 MiB): a figure that
+// comes back to a spec after the cache has evicted it rebuilds it, with
+// the same bytes.
 var presetCache = sweep.NewBuildCache()
 
 // pointID locates a record inside a preset's grids by its swept

@@ -11,6 +11,7 @@ import (
 
 	"latticesim/internal/core"
 	"latticesim/internal/decoder"
+	"latticesim/internal/dem"
 	"latticesim/internal/dropout"
 	"latticesim/internal/hardware"
 	"latticesim/internal/mc"
@@ -102,13 +103,13 @@ func ExtAblation(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	m, g := pl.Model, pl.Graph
+	g := pl.Graph
 
 	pl.Workers = o.Workers
 	// Each worker gets a private decoder instance from its row's factory;
 	// the decoder graph is shared read-only, and each worker receives a
 	// Fork of the shared LUT table (lookups carry per-decoder scratch).
-	lut := decoder.BuildLUT(m, 3<<20, 8)
+	lut := decoder.BuildLUT(dem.FromCircuit(res.Circuit), 3<<20, 8)
 	type row struct {
 		name   string
 		newDec func() decoder.Decoder

@@ -21,6 +21,7 @@ package frame
 
 import (
 	"math/rand/v2"
+	"unsafe"
 
 	"latticesim/internal/circuit"
 )
@@ -211,6 +212,19 @@ func (p *Plan) FusedOps() int { return p.fusedOps }
 
 // SourceOps returns the op count of the source circuit.
 func (p *Plan) SourceOps() int { return p.sourceOps }
+
+// Bytes estimates the plan's own heap size: the instruction stream and
+// the target lists fusion copied. Slices aliased from the circuit are
+// the circuit's bytes, not the plan's.
+func (p *Plan) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) + int64(cap(p.instrs))*int64(unsafe.Sizeof(instr{}))
+	for i := range p.instrs {
+		if in := &p.instrs[i]; in.ownedTargets {
+			n += int64(cap(in.targets)) * int64(unsafe.Sizeof(in.targets[0]))
+		}
+	}
+	return n
+}
 
 // DetectorInstr returns the index of the plan instruction that computes
 // detector word d, or -1 if no instruction writes it. The differential

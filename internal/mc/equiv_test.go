@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"latticesim/internal/decoder"
+	"latticesim/internal/dem"
 	"latticesim/internal/hardware"
 	"latticesim/internal/obs"
 	"latticesim/internal/surface"
@@ -69,7 +70,7 @@ func TestCompiledPipelineMatchesInterpretedHierarchical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ip := interpretedClone(pl)
-	lut := decoder.BuildLUT(pl.Model, 1<<16, 8)
+	lut := decoder.BuildLUT(dem.FromCircuit(pl.Circuit), 1<<16, 8)
 	newDec := func() decoder.Decoder {
 		return &decoder.Hierarchical{LUT: lut.Fork(), Slow: decoder.NewUnionFind(pl.Graph), Latency: decoder.DefaultLatencyModel(3)}
 	}
@@ -86,7 +87,7 @@ func TestCompiledPipelineMatchesInterpretedHierarchical(t *testing.T) {
 func TestHandBuiltPipelineCompilesOnDemand(t *testing.T) {
 	const shots, seed = 5000, 3
 	pl := buildTestPipeline(t, 3)
-	bare := &Pipeline{Circuit: pl.Circuit, Model: pl.Model, Graph: pl.Graph} // no Plan
+	bare := &Pipeline{Circuit: pl.Circuit, Graph: pl.Graph} // no Plan
 	if got, want := bare.Run(shots, seed), pl.Run(shots, seed); !reflect.DeepEqual(got, want) {
 		t.Fatalf("nil-Plan pipeline %+v != compiled pipeline %+v", got, want)
 	}
@@ -126,7 +127,7 @@ func TestRunPredecodesExactlyNonEmptySyndromes(t *testing.T) {
 	}
 	for name, q := range map[string]*Pipeline{
 		"interpreted": interpretedClone(pl),
-		"hand-built":  {Circuit: pl.Circuit, Model: pl.Model, Graph: pl.Graph},
+		"hand-built":  {Circuit: pl.Circuit, Graph: pl.Graph},
 	} {
 		if decoded, _ := predecoded(q); decoded != 0 {
 			t.Fatalf("%s pipeline: predecoder saw %d shots, want 0", name, decoded)

@@ -1,8 +1,9 @@
 // Package mc is the Monte Carlo execution layer shared by every consumer
-// of the simulator: it bundles a stabilizer circuit with its detector
-// error model and decoder graph (Pipeline), and runs shot budgets through
-// a parallel sharded executor whose results are bit-identical for any
-// worker count (see DESIGN.md §5).
+// of the simulator: it bundles a stabilizer circuit with its compiled
+// sampler plan and the decoder graph built from its detector error
+// model (Pipeline), and runs shot budgets through a parallel sharded
+// executor whose results are bit-identical for any worker count (see
+// DESIGN.md §5).
 //
 // The layer sits between the circuit substrate (circuit, frame, dem,
 // decoder) and its two consumers: the per-figure experiment runners in
@@ -24,6 +25,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"latticesim/internal/circuit"
 	"latticesim/internal/decoder"
@@ -89,10 +91,12 @@ func (r *LERResult) merge(s LERResult) {
 	}
 }
 
-// Pipeline bundles the sampler, error model and decoder for one circuit.
+// Pipeline bundles the sampler and decoder for one circuit. The
+// detector error model it was built from is not kept: nothing reads it
+// once the decoder graph exists, and it would be most of the heap.
+// Callers that need it call dem.FromCircuit on Circuit.
 type Pipeline struct {
 	Circuit *circuit.Circuit
-	Model   *dem.Model
 	Graph   *decoder.Graph
 
 	// Plan is the compiled sampler execution plan for Circuit. NewPipeline
@@ -150,6 +154,10 @@ type Pipeline struct {
 	// NewPipeline fills it; hand-built pipelines leave it nil and run
 	// PathAuto without the predecoder stage.
 	pre *decoder.Predecoder
+
+	// static is the heap estimate NewPipeline makes of everything above
+	// but the predecoder memos, which grow after it (see Bytes).
+	static int64
 }
 
 // Path names a Monte Carlo execution path. Both paths produce
@@ -169,20 +177,34 @@ const (
 )
 
 // NewPipeline builds the full decode pipeline for a circuit, including
-// the compiled sampler plan shared by all workers.
+// the compiled sampler plan shared by all workers. The circuit's
+// detector error model is extracted to build the decoder graph and then
+// let go.
 func NewPipeline(c *circuit.Circuit) (*Pipeline, error) {
-	m := dem.FromCircuit(c)
-	g := decoder.BuildGraph(m)
+	g := decoder.BuildGraph(dem.FromCircuit(c))
 	if err := g.CheckMatchable(); err != nil {
 		return nil, fmt.Errorf("mc: decoder graph: %w", err)
 	}
-	return &Pipeline{
+	p := &Pipeline{
 		Circuit: c,
-		Model:   m,
 		Graph:   g,
 		Plan:    frame.Compile(c),
 		pre:     decoder.NewPredecoder(g),
-	}, nil
+	}
+	p.static = int64(unsafe.Sizeof(*p)) + c.Bytes() + p.Plan.Bytes() + g.Bytes() + p.pre.TableBytes()
+	return p, nil
+}
+
+// Bytes estimates the pipeline's heap size: the circuit, compiled plan,
+// decoder graph and predecoder tables, sized once by NewPipeline, plus
+// the predecoder memos that runs have filled since. Shallow copies share
+// the tables and so report the same bytes. A hand-built pipeline reports
+// 0.
+func (p *Pipeline) Bytes() int64 {
+	if p.pre == nil {
+		return p.static
+	}
+	return p.static + p.pre.MemoBytes()
 }
 
 // resolvePlan returns the compiled plan for the circuit, compiling one on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -20,6 +21,8 @@ import (
 var goldenMetricNames = []string{
 	"latticesim_active_leases",
 	"latticesim_attempts_total",
+	"latticesim_build_cache_bytes",
+	"latticesim_build_cache_evictions_total",
 	"latticesim_build_cache_hits_total",
 	"latticesim_build_cache_misses_total",
 	"latticesim_campaign_batches_outstanding",
@@ -121,6 +124,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	st := srv.Stats()
 	if st.Attempts != 1 || st.Jobs != 1 || st.Done != 1 {
 		t.Fatalf("stats = attempts %d jobs %d done %d, want 1/1/1", st.Attempts, st.Jobs, st.Done)
+	}
+	// The build cache's bytes reach /v1/stats and the gauge alike.
+	if st.BuildMisses != 1 || st.BuildBytes <= 0 || st.BuildEvictions != 0 {
+		t.Fatalf("stats = build misses %d bytes %d evictions %d, want 1, >0, 0", st.BuildMisses, st.BuildBytes, st.BuildEvictions)
+	}
+	if want := fmt.Sprintf("latticesim_build_cache_bytes %d\n", st.BuildBytes); !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, buf.String())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"latticesim/internal/obs"
+	"latticesim/internal/sweep"
 )
 
 // serverMetrics bundles every metric handle the coordinator maintains.
@@ -61,10 +62,10 @@ var jobStates = []string{
 }
 
 // newServerMetrics registers the coordinator's metric families on reg
-// and returns the handles. backendStats and cacheStats are read at
-// scrape time to mirror counters owned by the store backend and the
-// build cache without keeping drifting copies.
-func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions int), cacheStats func() (hits, misses int)) *serverMetrics {
+// and returns the handles. backendStats and the build cache are read at
+// scrape time to mirror counters they own without keeping drifting
+// copies.
+func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions int), cache *sweep.BuildCache) *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 
@@ -108,14 +109,7 @@ func newServerMetrics(reg *obs.Registry, backendStats func() (puts, corruptions 
 		_, c := backendStats()
 		return float64(c)
 	})
-	reg.CounterFunc("latticesim_build_cache_hits_total", "Build-cache artifact fetches served without building.", func() float64 {
-		h, _ := cacheStats()
-		return float64(h)
-	})
-	reg.CounterFunc("latticesim_build_cache_misses_total", "Build-cache misses: circuit/DEM/decoder-graph builds performed.", func() float64 {
-		_, ms := cacheStats()
-		return float64(ms)
-	})
+	cache.RegisterMetrics(reg)
 	return m
 }
 

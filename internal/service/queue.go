@@ -252,7 +252,7 @@ func New(opts Options) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	met := newServerMetrics(reg, store.Stats, opts.Cache.Stats)
+	met := newServerMetrics(reg, store.Stats, opts.Cache)
 	s := &Server{
 		opts:      opts,
 		store:     &meteredStore{b: store, m: met},
@@ -530,9 +530,15 @@ type Stats struct {
 	StoreHits int `json:"store_hits"`
 	StorePuts int `json:"store_puts"`
 	// BuildHits / BuildMisses are the shared sweep.BuildCache counters:
-	// artifact fetches served without building vs. builds performed.
-	BuildHits   int `json:"build_hits"`
-	BuildMisses int `json:"build_misses"`
+	// pipeline fetches served without building vs. builds performed,
+	// rebuilds after an eviction included. BuildBytes is the estimated
+	// heap the cache holds now and BuildEvictions the pipelines it has
+	// dropped to stay within its budget; both are optional on the wire
+	// (absent reads 0).
+	BuildHits      int   `json:"build_hits"`
+	BuildMisses    int   `json:"build_misses"`
+	BuildBytes     int64 `json:"build_bytes,omitempty"`
+	BuildEvictions int   `json:"build_evictions,omitempty"`
 }
 
 // Stats reports the current counters, reading the same registry
@@ -581,6 +587,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	st.StorePuts, st.StoreCorruptions = s.store.Stats()
 	st.BuildHits, st.BuildMisses = s.opts.Cache.Stats()
+	st.BuildBytes, st.BuildEvictions = s.opts.Cache.Usage()
 	return st
 }
 

@@ -126,9 +126,7 @@ func (a AdaptiveConfig) nextCheckpoint(c int) int {
 
 // pointRunner is one point's execution state inside the allocator.
 type pointRunner struct {
-	pt    Point
-	index int // 0-based canonical grid position
-	rec   Record
+	rec Record
 	// pl is a shallow copy of the cached pipeline with this campaign's
 	// worker count; nil for infeasible points.
 	pl      *mc.Pipeline
@@ -192,8 +190,8 @@ func (r *pointRunner) finalize() Record {
 
 // newPointRunner resolves one point and prepares its execution state
 // (infeasible points come back already stopped).
-func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config) (*pointRunner, error) {
-	r := &pointRunner{pt: pt, index: index, rec: newRecord(pt, cfg), started: time.Now()}
+func newPointRunner(cache *BuildCache, pt Point, cfg Config) (*pointRunner, error) {
+	r := &pointRunner{rec: newRecord(pt, cfg), started: time.Now()}
 	spec, plan, ok := pt.Resolve()
 	r.rec.Feasible = ok
 	if !ok {
@@ -204,11 +202,11 @@ func newPointRunner(cache *BuildCache, pt Point, index int, cfg Config) (*pointR
 	r.rec.ExtraRoundsP = plan.ExtraRoundsP
 	r.rec.ExtraRoundsPPrime = plan.ExtraRoundsPPrime
 	r.rec.TotalIdleNs = plan.TotalIdleNs()
-	art, _, err := cache.Get(spec)
+	cached, _, err := cache.Get(spec)
 	if err != nil {
 		return nil, err
 	}
-	pl := *art.Pipeline
+	pl := *cached
 	pl.Workers = cfg.Workers
 	pl.Progress = nil
 	pl.Ctx = cfg.Ctx
@@ -288,28 +286,41 @@ func allocate(runners []*pointRunner, budget int, cfg Config, acfg AdaptiveConfi
 	}
 }
 
-// runAdaptive is Campaign.Run's adaptive mode: resolve every
-// non-journaled point, pool the budget, allocate, then emit the records
+// runAdaptive is Campaign.Run's adaptive mode: resolve every point,
+// pool the budget over the whole grid, allocate, then emit the records
 // in canonical order as Run does. Buffering until allocation finishes
 // is what lets the pool flow across points while the output stays in
 // canonical order.
+//
+// A resumed campaign re-runs the whole allocation: every grant depends
+// on the pool and on every other point's interval, so only the full
+// grid reproduces the uninterrupted run's grants. Points the manifest
+// already holds are recomputed bit for bit and dropped rather than
+// emitted again (they count as skipped); a campaign with every point
+// journaled runs nothing.
 func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cache *BuildCache) (Summary, error) {
 	sum := Summary{Points: len(pts)}
-	var runners []*pointRunner
-	feasible := 0
+	journaled := make([]bool, len(pts))
 	for i, pt := range pts {
 		if c.Manifest != nil && c.Manifest.Done(pt.Key()) {
+			journaled[i] = true
 			sum.Skipped++
-			continue
 		}
-		r, err := newPointRunner(cache, pt, i, cfg)
+	}
+	if sum.Skipped == len(pts) {
+		return sum, nil
+	}
+	runners := make([]*pointRunner, len(pts))
+	feasible := 0
+	for i, pt := range pts {
+		r, err := newPointRunner(cache, pt, cfg)
 		if err != nil {
 			return sum, fmt.Errorf("sweep: point %s: %w", pt.Key(), err)
 		}
 		if r.rec.Feasible {
 			feasible++
 		}
-		runners = append(runners, r)
+		runners[i] = r
 	}
 	allocate(runners, cfg.Shots*feasible, cfg, acfg)
 	if err := ctxErr(cfg.Ctx); err != nil {
@@ -317,8 +328,11 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 		// is emitted or journaled.
 		return sum, err
 	}
-	for _, r := range runners {
-		if err := c.emit(&sum, r.finalize(), r.index+1, len(pts)); err != nil {
+	for i, r := range runners {
+		if journaled[i] {
+			continue
+		}
+		if err := c.emit(&sum, r.finalize(), i+1, len(pts)); err != nil {
 			return sum, err
 		}
 	}
@@ -331,7 +345,7 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 // configured budget, it just stops spending once converged. The
 // simulation service's one-point jobs go through this path.
 func executeAdaptivePoint(cache *BuildCache, pt Point, cfg Config, acfg AdaptiveConfig) (Record, error) {
-	r, err := newPointRunner(cache, pt, 0, cfg)
+	r, err := newPointRunner(cache, pt, cfg)
 	if err != nil {
 		return Record{}, err
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,6 +80,74 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		if got := canonicalJSONL(t, raw); got != ref {
 			t.Fatalf("workers=%d: records not byte-identical:\n%s\nvs reference:\n%s", workers, got, ref)
 		}
+	}
+}
+
+// TestAdaptiveResumeMatchesUninterrupted: a resumed adaptive campaign
+// must emit exactly the records the uninterrupted run would have. The
+// pool binds on this grid (the rarest point exhausts it), so a resume
+// that pooled only the points still to run would grant them other
+// budgets. The journal and record stream are cut after each of the
+// first two records, as a crash between two emits leaves them, and then
+// resumed with the same configuration.
+func TestAdaptiveResumeMatchesUninterrupted(t *testing.T) {
+	g := adaptiveGrid([]float64{1e-2, 1e-3, 1e-4})
+	cfg := Config{Shots: 16384, Seed: 4242, Workers: 2, Adaptive: &AdaptiveConfig{}}
+	pts, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewBuildCache()
+	run := func(dir string, out *bytes.Buffer) Summary {
+		t.Helper()
+		man, err := OpenManifest(filepath.Join(dir, "manifest"), cfg, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer man.Close()
+		camp := &Campaign{Grid: g, Config: cfg, Cache: cache, Manifest: man,
+			Sinks: []Sink{&JSONLWriter{W: out}}}
+		sum, err := camp.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	full := t.TempDir()
+	var ref bytes.Buffer
+	run(full, &ref)
+	refLines := strings.SplitAfter(ref.String(), "\n")
+	manifest, err := os.ReadFile(filepath.Join(full, "manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manLines := strings.SplitAfter(string(manifest), "\n")
+	if len(refLines) != 4 || len(manLines) != 5 { // trailing empty element
+		t.Fatalf("uninterrupted run: %d record lines, %d manifest lines; want 3 and 4", len(refLines)-1, len(manLines)-1)
+	}
+	for cut := 1; cut <= 2; cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest"), []byte(strings.Join(manLines[:1+cut], "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		out.WriteString(strings.Join(refLines[:cut], ""))
+		sum := run(dir, &out)
+		if sum.Skipped != cut || sum.Executed != 3-cut {
+			t.Fatalf("cut after %d: summary %+v, want %d skipped and %d executed", cut, sum, cut, 3-cut)
+		}
+		if got, want := canonicalJSONL(t, out.Bytes()), canonicalJSONL(t, ref.Bytes()); got != want {
+			t.Fatalf("cut after %d: resumed records differ from the uninterrupted run:\n%s\nvs\n%s", cut, got, want)
+		}
+	}
+	// A campaign with every point journaled runs nothing.
+	hits, misses := cache.Stats()
+	var none bytes.Buffer
+	if sum := run(full, &none); sum.Skipped != 3 || sum.Executed != 0 || none.Len() != 0 {
+		t.Fatalf("fully journaled rerun: summary %+v, %d bytes emitted", sum, none.Len())
+	}
+	if h, m := cache.Stats(); h != hits || m != misses {
+		t.Fatal("a fully journaled rerun fetched pipelines")
 	}
 }
 

@@ -88,9 +88,9 @@ type Summary struct {
 	// Skipped were already in the manifest, and Infeasible of the executed
 	// points had no plan solution (they are recorded and marked done).
 	Points, Executed, Skipped, Infeasible int
-	// CacheHits / CacheMisses count artifact-cache outcomes across the
-	// executed points (three artifacts — circuit, DEM, decoder graph —
-	// are built together per miss).
+	// CacheHits / CacheMisses count build-cache outcomes across the
+	// executed points (a miss builds the spec's whole pipeline: circuit,
+	// DEM, decoder graph, sampler plan).
 	CacheHits, CacheMisses int
 	// Interrupted is true when MaxPoints ended the run before the grid was
 	// exhausted; rerunning the same campaign resumes after the manifest.
@@ -225,14 +225,14 @@ func ExecutePoint(cache *BuildCache, pt Point, cfg Config) (Record, error) {
 		rec.ExtraRoundsP = plan.ExtraRoundsP
 		rec.ExtraRoundsPPrime = plan.ExtraRoundsPPrime
 		rec.TotalIdleNs = plan.TotalIdleNs()
-		art, _, err := cache.Get(spec)
+		cached, _, err := cache.Get(spec)
 		if err != nil {
 			return rec, err
 		}
 		// Run on a shallow copy so the shared cached Pipeline is never
 		// mutated — campaigns with different worker counts can share a
 		// cache concurrently.
-		pl := *art.Pipeline
+		pl := *cached
 		pl.Workers = cfg.Workers
 		pl.Progress = cfg.ShotProgress
 		pl.Ctx = cfg.Ctx

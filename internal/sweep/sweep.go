@@ -1,10 +1,10 @@
 // Package sweep is the parameter-sweep campaign engine: it expands a
 // declarative grid (policies × distances × slacks × error rates × bases)
 // into concrete experiment points, deduplicates and caches the expensive
-// build artifacts behind them (circuit → detector error model → decoder
-// graph, keyed by a canonical spec hash), and executes the points through
-// the parallel Monte Carlo layer of internal/mc with per-point
-// deterministic seeds.
+// pipelines behind them (circuit → detector error model → decoder graph,
+// keyed by a canonical spec hash, in a size-bounded LRU), and executes
+// the points through the parallel Monte Carlo layer of internal/mc with
+// per-point deterministic seeds.
 //
 // Each executed point yields a typed Record (the point's coordinates, the
 // shot budget, per-observable error counts with Wilson intervals, and

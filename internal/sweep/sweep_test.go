@@ -14,6 +14,7 @@ import (
 	"latticesim/internal/decoder"
 	"latticesim/internal/dem"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/surface"
 )
 
@@ -146,8 +147,8 @@ func TestCacheBuildsEachArtifactOnce(t *testing.T) {
 
 // concurrentGets has n goroutines Get one spec behind a start barrier,
 // so their lookups race, and returns what each caller got.
-func concurrentGets(cache *BuildCache, spec surface.MergeSpec, n int) ([]*Artifact, []error) {
-	arts, errs := make([]*Artifact, n), make([]error, n)
+func concurrentGets(cache *BuildCache, spec surface.MergeSpec, n int) ([]*mc.Pipeline, []error) {
+	pls, errs := make([]*mc.Pipeline, n), make([]error, n)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -155,28 +156,28 @@ func concurrentGets(cache *BuildCache, spec surface.MergeSpec, n int) ([]*Artifa
 		go func() {
 			defer wg.Done()
 			<-start
-			arts[i], _, errs[i] = cache.Get(spec)
+			pls[i], _, errs[i] = cache.Get(spec)
 		}()
 	}
 	close(start)
 	wg.Wait()
-	return arts, errs
+	return pls, errs
 }
 
 // TestCacheGetSingleFlight: concurrent misses on one spec build it once,
-// and every caller shares the one artifact — misses counts artifact
-// constructions, so the callers that waited count as hits.
+// and every caller shares the one pipeline — misses counts pipeline
+// builds, so the callers that waited count as hits.
 func TestCacheGetSingleFlight(t *testing.T) {
 	cache := NewBuildCache()
 	spec := surface.MergeSpec{D: 3, Basis: surface.BasisX, HW: hardware.Google(), P: 1e-3}
 	dem0 := dem.BuildCount()
-	arts, errs := concurrentGets(cache, spec, 8)
+	pls, errs := concurrentGets(cache, spec, 8)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
-		if arts[i] != arts[0] {
-			t.Fatalf("caller %d got a different *Artifact than caller 0", i)
+		if pls[i] != pls[0] {
+			t.Fatalf("caller %d got a different *mc.Pipeline than caller 0", i)
 		}
 	}
 	if built := dem.BuildCount() - dem0; built != 1 {
@@ -198,7 +199,7 @@ func TestCacheGetSingleFlight(t *testing.T) {
 		}
 	}
 	if n := cache.Len(); n != 1 {
-		t.Fatalf("cache holds %d artifacts after a failed build, want 1", n)
+		t.Fatalf("cache holds %d pipelines after a failed build, want 1", n)
 	}
 }
 

@@ -450,7 +450,7 @@ func runSeams(prog *Program, seams []seam, cfg Config) ([]float64, error) {
 			errs[i] = cfg.Ctx.Err()
 			return
 		}
-		art, _, err := cache.Get(s.spec)
+		cached, _, err := cache.Get(s.spec)
 		if err != nil {
 			errs[i] = fmt.Errorf("trace: op %d pair %s–%s: %w", s.op,
 				prog.Patches[s.early].Name, prog.Patches[s.late].Name, err)
@@ -458,7 +458,7 @@ func runSeams(prog *Program, seams []seam, cfg Config) ([]float64, error) {
 		}
 		// Run on a shallow copy so the shared cached pipeline is never
 		// mutated (the same discipline as the sweep executor).
-		pl := *art.Pipeline
+		pl := *cached
 		pl.Workers = w / pool
 		pl.Ctx = cfg.Ctx
 		out := pl.Run(cfg.Shots, s.seed)

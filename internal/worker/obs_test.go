@@ -241,4 +241,11 @@ func TestWorkerMetricsRegistry(t *testing.T) {
 	if !strings.Contains(text, "latticesim_predecoder_shots_total") {
 		t.Fatalf("predecoder counters missing:\n%s", text)
 	}
+	// The node's own build cache holds the one pipeline it built.
+	if !strings.Contains(text, "latticesim_build_cache_misses_total 1\n") ||
+		!strings.Contains(text, "latticesim_build_cache_evictions_total 0\n") ||
+		strings.Contains(text, "latticesim_build_cache_bytes 0\n") ||
+		!strings.Contains(text, "latticesim_build_cache_bytes ") {
+		t.Fatalf("build cache series missing or wrong:\n%s", text)
+	}
 }

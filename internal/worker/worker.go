@@ -145,6 +145,7 @@ func New(opts Options) (*Worker, error) {
 		"Lease heartbeats this node sent.")
 	w.unitDur = m.Histogram("latticesim_worker_unit_seconds",
 		"Wall time per executed work unit.", obs.DefBuckets)
+	cache.RegisterMetrics(m)
 	return w, nil
 }
 

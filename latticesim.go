@@ -135,12 +135,14 @@ func SpecForPolicy(d int, basis Basis, hw HardwareConfig, p float64, policy Poli
 
 // Decoding and sampling.
 type (
-	// Pipeline bundles sampler, detector error model and decoder. Its
-	// Monte Carlo entry points shard shots across Pipeline.Workers
-	// goroutines (default: all CPUs) with bit-identical results for any
-	// worker count; see DESIGN.md §5. The inner loop executes a compiled
-	// sampler plan with sparse syndrome extraction and zero-syndrome
-	// decode skipping (DESIGN.md §9), bit-identical to interpretation.
+	// Pipeline bundles the compiled sampler and the decoder graph with
+	// its predecoder tables. The detector error model it is built from is
+	// not kept; ExtractDEM recomputes it. Its Monte Carlo entry points
+	// shard shots across Pipeline.Workers goroutines (default: all CPUs)
+	// with bit-identical results for any worker count; see DESIGN.md §5.
+	// The inner loop executes a compiled sampler plan with sparse
+	// syndrome extraction and zero-syndrome decode skipping (DESIGN.md
+	// §9), bit-identical to interpretation.
 	Pipeline = mc.Pipeline
 	// LERResult reports logical error statistics.
 	LERResult = mc.LERResult
@@ -156,8 +158,9 @@ type (
 	FrameSampler = frame.Sampler
 )
 
-// NewPipeline builds the sample→DEM→decode pipeline for a circuit,
-// including its compiled sampler plan.
+// NewPipeline builds the sample→decode pipeline for a circuit: it
+// extracts the DEM, builds the decoder graph from it and compiles the
+// sampler plan.
 func NewPipeline(c *Circuit) (*Pipeline, error) { return mc.NewPipeline(c) }
 
 // CompileSampler lowers a circuit into a compiled sampler plan. The plan
@@ -207,8 +210,9 @@ type (
 	SweepCampaign = sweep.Campaign
 	// SweepSink receives completed records in canonical point order.
 	SweepSink = sweep.Sink
-	// BuildCache deduplicates circuit/DEM/decoder-graph artifacts across
-	// campaign points, keyed by canonical spec hash.
+	// BuildCache deduplicates built pipelines across campaign points,
+	// keyed by canonical spec hash, and keeps the most recently used of
+	// them within a fixed memory budget.
 	BuildCache = sweep.BuildCache
 )
 
