@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"latticesim/internal/service"
+	"latticesim/internal/sweep"
 )
 
 // runSubmit implements `latticesim submit sweep|trace`: build a job
@@ -239,7 +240,7 @@ func submitTrace(args []string) error {
 	}
 	return common.run(service.JobSpec{Type: "trace", Trace: &service.TraceJob{
 		TraceText: text, Workload: *workload, Patches: *patches, Merges: *merges,
-		Policies: splitList(*policies), Hardware: *hw, ScaleNs: *scale,
+		Policies: sweep.SplitList(*policies), Hardware: *hw, ScaleNs: *scale,
 		D: *d, P: *p, Basis: *basis, EpsNs: *eps, MaxZ: *maxZ,
 		StaggerNs: *stagger, Shots: *shots, Seed: *seed,
 	}})

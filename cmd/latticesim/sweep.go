@@ -70,7 +70,18 @@ Flags:`)
 		logw = os.Stderr
 	}
 
-	grid, err := buildGrid(*hwName, *scale, *policies, *ds, *taus, *ps, *bases, *cycleP, *cyclePPs, *eps)
+	grid, err := sweep.ParseGridSpec(sweep.GridSpec{
+		Hardware:      *hwName,
+		ScaleNs:       *scale,
+		Policies:      *policies,
+		Distances:     *ds,
+		TausNs:        *taus,
+		ErrorRates:    *ps,
+		Bases:         *bases,
+		CyclePNs:      *cycleP,
+		CyclePPrimeNs: *cyclePPs,
+		EpsNs:         *eps,
+	})
 	if err != nil {
 		return err
 	}
@@ -204,26 +215,3 @@ func (s canonicalJSONSink) Write(r sweep.Record) error {
 	_, err = s.w.Write(b)
 	return err
 }
-
-// buildGrid assembles the sweep grid from the flag strings via the
-// shared (and fuzz-hardened) sweep.ParseGridSpec grammar.
-func buildGrid(hwName string, scale float64, policies, ds, taus, ps, bases string, cycleP float64, cyclePPs string, eps int64) (sweep.Grid, error) {
-	return sweep.ParseGridSpec(sweep.GridSpec{
-		Hardware:      hwName,
-		ScaleNs:       scale,
-		Policies:      policies,
-		Distances:     ds,
-		TausNs:        taus,
-		ErrorRates:    ps,
-		Bases:         bases,
-		CyclePNs:      cycleP,
-		CyclePPrimeNs: cyclePPs,
-		EpsNs:         eps,
-	})
-}
-
-func splitList(s string) []string { return sweep.SplitList(s) }
-
-func parseInts(s string) ([]int, error) { return sweep.ParseIntList(s) }
-
-func parseFloats(s string) ([]float64, error) { return sweep.ParseFloatList(s) }

@@ -96,7 +96,7 @@ Flags:`)
 		return fmt.Errorf("unknown basis %q (X or Z)", *basis)
 	}
 	var pols []core.Policy
-	for _, s := range splitList(*policies) {
+	for _, s := range sweep.SplitList(*policies) {
 		pol, ok := core.ParsePolicy(s)
 		if !ok {
 			return fmt.Errorf("unknown policy %q (Ideal, Passive, Active, Active-intra, ExtraRounds, Hybrid)", s)
@@ -106,11 +106,11 @@ Flags:`)
 	if len(pols) == 0 {
 		return fmt.Errorf("-policies selected nothing")
 	}
-	dList, err := parseInts(*ds)
+	dList, err := sweep.ParseIntList(*ds)
 	if err != nil {
 		return fmt.Errorf("-d: %w", err)
 	}
-	pList, err := parseFloats(*ps)
+	pList, err := sweep.ParseFloatList(*ps)
 	if err != nil {
 		return fmt.Errorf("-p: %w", err)
 	}

@@ -14,9 +14,9 @@ import (
 	"os"
 
 	"latticesim/internal/core"
-	"latticesim/internal/exp"
 	"latticesim/internal/hardware"
 	"latticesim/internal/surface"
+	"latticesim/internal/sweep"
 )
 
 func main() {
@@ -60,7 +60,7 @@ func main() {
 		if !ok {
 			fatal("unknown policy %q", *policyName)
 		}
-		spec, _, feasible := exp.SpecForPolicy(*d, bs, hw, *p, policy, *tau, 0, *cyclePPrime, *eps)
+		spec, _, feasible := sweep.SpecForPolicy(*d, bs, hw, *p, policy, *tau, 0, *cyclePPrime, *eps)
 		if !feasible {
 			fatal("policy %s infeasible for this configuration", policy)
 		}

@@ -1,53 +1,17 @@
-// Workload analysis walkthrough (paper §3.3): parse a QASM circuit,
-// count the operations that require synchronized Lattice Surgery, and
-// estimate fault-tolerant resources for the paper's benchmark suite with
-// the QRE-style estimator.
+// Workload analysis walkthrough (paper §3.3): estimate fault-tolerant
+// resources for the paper's benchmark suite with the QRE-style
+// estimator, and the synchronizations per logical cycle each workload
+// needs.
 package main
 
 import (
 	"fmt"
-	"log"
 
 	"latticesim"
-	"latticesim/internal/qasm"
 	"latticesim/internal/resource"
 )
 
-// A small QFT-4 kernel in OpenQASM 2.0: Hadamards plus controlled
-// rotations (each rotation synthesizes into a T sequence under lattice
-// surgery).
-const qft4 = `
-OPENQASM 2.0;
-include "qelib1.inc";
-qreg q[4];
-creg c[4];
-h q[0];
-rz(0.785) q[1]; cx q[1], q[0]; rz(-0.785) q[0]; cx q[1], q[0];
-h q[1];
-rz(0.392) q[2]; cx q[2], q[0]; rz(-0.392) q[0]; cx q[2], q[0];
-rz(0.785) q[2]; cx q[2], q[1]; rz(-0.785) q[1]; cx q[2], q[1];
-h q[2];
-rz(0.196) q[3]; cx q[3], q[0]; rz(-0.196) q[0]; cx q[3], q[0];
-rz(0.392) q[3]; cx q[3], q[1]; rz(-0.392) q[1]; cx q[3], q[1];
-rz(0.785) q[3]; cx q[3], q[2]; rz(-0.785) q[2]; cx q[3], q[2];
-h q[3];
-measure q[0] -> c[0];
-measure q[1] -> c[1];
-measure q[2] -> c[2];
-measure q[3] -> c[3];
-`
-
 func main() {
-	prog, err := qasm.ParseString(qft4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a := qasm.Analyze(prog)
-	fmt.Printf("QFT-4 kernel: %d qubits, depth %d\n", a.NumQubits, a.Depth)
-	fmt.Printf("  CNOTs: %d   T states (incl. synthesized rotations): %d\n", a.CNOTs, a.TCount)
-	fmt.Printf("  operations requiring synchronized lattice surgery: %d\n", a.SyncOps)
-	fmt.Printf("  max concurrent CNOTs (parallel sync operations): %d\n\n", a.MaxConcurrentCNOTs)
-
 	hw := latticesim.IBM()
 	fmt.Println("QRE-style estimates for the paper's benchmark suite (p=1e-3, budget 1/3):")
 	for _, wl := range resource.Workloads() {

@@ -110,7 +110,7 @@ func TestPassiveSpikesAtMergeRound(t *testing.T) {
 	weights := map[core.Policy]map[int]float64{}
 	var mergeRound int
 	for _, pol := range []core.Policy{core.Passive, core.Active} {
-		spec, _, _ := SpecForPolicy(5, surface.BasisX, hardware.Google(), paperP, pol, 1000, 0, 0, 0)
+		spec, _, _ := sweep.SpecForPolicy(5, surface.BasisX, hardware.Google(), paperP, pol, 1000, 0, 0, 0)
 		res, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func jointLER(r sweep.Record) (rate, lo, hi float64) {
 
 func TestSpecForPolicyShapes(t *testing.T) {
 	// Passive: all slack lumped.
-	spec, plan, ok := SpecForPolicy(3, surface.BasisX, hardware.IBM(), 1e-3, core.Passive, 700, 0, 0, 0)
+	spec, plan, ok := sweep.SpecForPolicy(3, surface.BasisX, hardware.IBM(), 1e-3, core.Passive, 700, 0, 0, 0)
 	if !ok || spec.LumpedIdleNs != 700 || spec.SpreadIdleNs != 0 {
 		t.Fatalf("passive spec: %+v", spec)
 	}
@@ -197,7 +197,7 @@ func TestSpecForPolicyShapes(t *testing.T) {
 		t.Fatal("plan idle mismatch")
 	}
 	// Hybrid: extra rounds plus residual spread.
-	spec, plan, ok = SpecForPolicy(3, surface.BasisX, hardware.IBM().Scaled(1000), 1e-3, core.Hybrid, 1000, 1000, 1325, 400)
+	spec, plan, ok = sweep.SpecForPolicy(3, surface.BasisX, hardware.IBM().Scaled(1000), 1e-3, core.Hybrid, 1000, 1000, 1325, 400)
 	if !ok {
 		t.Fatal("hybrid must be feasible (Table 2 config)")
 	}
@@ -208,7 +208,7 @@ func TestSpecForPolicyShapes(t *testing.T) {
 		t.Fatal("hybrid plan rounds mismatch")
 	}
 	// ExtraRounds with equal cycles: infeasible.
-	if _, _, ok := SpecForPolicy(3, surface.BasisX, hardware.IBM(), 1e-3, core.ExtraRounds, 500, 0, 0, 0); ok {
+	if _, _, ok := sweep.SpecForPolicy(3, surface.BasisX, hardware.IBM(), 1e-3, core.ExtraRounds, 500, 0, 0, 0); ok {
 		t.Fatal("equal cycles must make ExtraRounds infeasible")
 	}
 }

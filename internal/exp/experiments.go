@@ -140,24 +140,13 @@ func distances(maxD int) []int {
 	return ds
 }
 
-// SpecForPolicy resolves a synchronization policy into a concrete merge
-// experiment: extra rounds and idle insertion per the computed plan.
-// cycleP/cyclePPrime of 0 select the hardware base cycle. Infeasible
-// plans return ok=false.
-// The implementation lives in internal/sweep, which the campaign engine
-// and the per-figure runners share.
-func SpecForPolicy(d int, basis surface.Basis, hw hardware.Config, p float64,
-	policy core.Policy, tauNs float64, cyclePNs, cyclePPrimeNs float64, epsNs int64) (surface.MergeSpec, core.Plan, bool) {
-	return sweep.SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
-}
-
 // runPolicy builds and runs one policy configuration, returning the
 // per-observable LERs. The worker count is threaded from Options so the
 // CLI / env knobs reach every figure's inner Monte Carlo loop.
 func runPolicy(d int, basis surface.Basis, hw hardware.Config, p float64,
 	policy core.Policy, tauNs, cyclePNs, cyclePPrimeNs float64, epsNs int64,
 	shots int, seed uint64, workers int) (mc.LERResult, bool, error) {
-	spec, _, ok := SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
+	spec, _, ok := sweep.SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
 	if !ok {
 		return mc.LERResult{}, false, nil
 	}

@@ -17,6 +17,7 @@ import (
 	"latticesim/internal/mc"
 	"latticesim/internal/stats"
 	"latticesim/internal/surface"
+	"latticesim/internal/sweep"
 )
 
 // ExtChain evaluates a 3-patch merge chain under k-patch synchronization:
@@ -94,7 +95,7 @@ func ExtAblation(w io.Writer, o Options) error {
 		d = 5
 	}
 	header(w, fmt.Sprintf("ext-ablation: decoder choices on a d=%d merge (tau=1000ns Passive)", d))
-	spec, _, _ := SpecForPolicy(d, surface.BasisX, hardware.Google(), paperP, core.Passive, 1000, 0, 0, 0)
+	spec, _, _ := sweep.SpecForPolicy(d, surface.BasisX, hardware.Google(), paperP, core.Passive, 1000, 0, 0, 0)
 	res, err := spec.Build()
 	if err != nil {
 		return err

@@ -108,7 +108,7 @@ func Fig7b(w io.Writer, o Options) error {
 	rows := map[string]map[int]float64{}
 	var mergeRound int
 	for _, pol := range []core.Policy{core.Passive, core.Active} {
-		spec, _, _ := SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, tau, 0, 0, 0)
+		spec, _, _ := sweep.SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, tau, 0, 0, 0)
 		res, err := spec.Build()
 		if err != nil {
 			return err
@@ -250,7 +250,7 @@ func Fig18a(w io.Writer, o Options) error {
 			// Both policies run d+1+R pre-merge rounds; Active distributes
 			// the slack across all of them.
 			mk := func(pol core.Policy) (mc.LERResult, error) {
-				spec, _, _ := SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, tau, 0, 0, 0)
+				spec, _, _ := sweep.SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, tau, 0, 0, 0)
 				spec.RoundsP = d + 1 + R
 				spec.RoundsPPrime = d + 1 + R
 				res, err := spec.Build()
@@ -434,7 +434,7 @@ func Fig22(w io.Writer, o Options) error {
 		var meanLat [2]float64
 		var hitRate [2]float64
 		for i, pol := range []core.Policy{core.Passive, core.Active} {
-			spec, _, _ := SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, 1000, 0, 0, 0)
+			spec, _, _ := sweep.SpecForPolicy(d, surface.BasisX, hardware.IBM(), paperP, pol, 1000, 0, 0, 0)
 			res, err := spec.Build()
 			if err != nil {
 				return err

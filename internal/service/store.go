@@ -54,8 +54,8 @@ type StoreBackend interface {
 // the spec recomputes and rewrites it (DESIGN.md §14). The sum is
 // written durably before the object, so a crash between the two leaves
 // an orphan sum (harmless: the object misses) rather than an unverified
-// object. Objects without a sidecar (written by older versions) are
-// served as-is.
+// object. An object without its sidecar cannot be verified, so Get
+// treats it as corrupt and the key misses until recomputed.
 //
 // Disk-backed stores hold nothing in process memory — blobs are small
 // JSON documents and rereads are served by the OS page cache, so an
@@ -124,9 +124,9 @@ func payloadSum(data []byte) string {
 }
 
 // Get returns the blob stored under key. ok is false when the key has
-// never been stored — or when the stored object failed its checksum, in
-// which case the corrupt object is deleted first so the caller's
-// recompute path (resubmitting the spec) can heal the store.
+// never been stored — or when the stored object failed its checksum or
+// has no sidecar to check, in which case the object is deleted first so
+// the caller's recompute path (resubmitting the spec) can heal the store.
 func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 	if !validKey(key) {
 		return nil, false, nil
@@ -154,15 +154,12 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("service: store: %w", err)
 	}
 	want, err := os.ReadFile(s.sumPath(key))
-	if os.IsNotExist(err) {
-		// Legacy object without a sidecar: served unverified.
-		return data, true, nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, false, fmt.Errorf("service: store: %w", err)
 	}
-	if strings.TrimSpace(string(want)) != payloadSum(data) {
-		// Corrupt: drop the pair so the key misses until recomputed.
+	if err != nil || strings.TrimSpace(string(want)) != payloadSum(data) {
+		// Corrupt or without a sidecar: drop the pair so the key
+		// misses until recomputed.
 		os.Remove(s.path(key))
 		os.Remove(s.sumPath(key))
 		s.mu.Lock()
@@ -177,8 +174,8 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 // rename) when the store is disk-backed. Storing an already-present key
 // verifies instead of writing: matching bytes are a no-op
 // (first-write-wins keeps every reader consistent), differing bytes
-// return ErrStoreMismatch (wrapped), and a corrupt existing object is
-// replaced by the fresh one.
+// return ErrStoreMismatch (wrapped), and a corrupt or sidecar-less
+// existing object is replaced by the fresh one and its sidecar.
 func (s *Store) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("service: store: invalid key %q", key)
@@ -209,17 +206,14 @@ func (s *Store) Put(key string, data []byte) error {
 	}
 	path := s.path(key)
 	if old, err := os.ReadFile(path); err == nil {
-		valid := true
-		if want, err := os.ReadFile(s.sumPath(key)); err == nil {
-			valid = strings.TrimSpace(string(want)) == payloadSum(old)
-		}
-		if valid {
+		want, err := os.ReadFile(s.sumPath(key))
+		if err == nil && strings.TrimSpace(string(want)) == payloadSum(old) {
 			if !bytes.Equal(old, data) {
 				return fmt.Errorf("%w %s", ErrStoreMismatch, key)
 			}
 			return nil // already durable (this process or a previous one)
 		}
-		s.corruption++ // corrupt incumbent: overwrite below
+		s.corruption++ // corrupt or sidecar-less incumbent: overwrite below
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("service: store: %w", err)

@@ -108,17 +108,32 @@ func TestStoreCorruptionHeals(t *testing.T) {
 		t.Fatalf("healed Get = %q, %v, %v; want original bytes", got, ok, err)
 	}
 
-	// A legacy object (no sidecar sum) is served unverified rather than
-	// rejected.
-	legacy := testKey('d')
-	if err := os.MkdirAll(store.dir+"/objects/"+legacy[:2], 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.path(legacy), []byte(`{"old":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok, err := store.Get(legacy); err != nil || !ok || string(got) != `{"old":1}` {
-		t.Fatalf("legacy Get = %q, %v, %v; want unverified bytes", got, ok, err)
+	// An object without its sidecar sum cannot be verified: it misses
+	// like a corrupt one, and a Put of the same bytes restores it with
+	// its sidecar — also when the Put meets the sidecar-less object
+	// before any Get has dropped it.
+	for _, getFirst := range []bool{true, false} {
+		legacy := testKey('d')
+		if !getFirst {
+			legacy = testKey('f')
+		}
+		if err := os.MkdirAll(store.dir+"/objects/"+legacy[:2], 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(store.path(legacy), []byte(`{"old":1}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if getFirst {
+			if got, ok, err := store.Get(legacy); err != nil || ok {
+				t.Fatalf("sidecar-less Get = %q, %v, %v; want a miss", got, ok, err)
+			}
+		}
+		if err := store.Put(legacy, []byte(`{"old":1}`)); err != nil {
+			t.Fatalf("healing Put: %v", err)
+		}
+		if got, ok, err := store.Get(legacy); err != nil || !ok || string(got) != `{"old":1}` {
+			t.Fatalf("healed Get (get first %v) = %q, %v, %v; want the stored bytes", getFirst, got, ok, err)
+		}
 	}
 }
 

@@ -124,10 +124,12 @@ func (a AdaptiveConfig) nextCheckpoint(c int) int {
 	return n
 }
 
-// pointRunner is one point's execution state inside the allocator.
+// pointRunner is one point's execution state, the one executor of
+// every record: ExecutePoint advances it once to a fixed budget, and
+// the allocator advances it checkpoint by checkpoint.
 type pointRunner struct {
 	rec Record
-	// pl is a shallow copy of the cached pipeline with this campaign's
+	// pl is a shallow copy of the cached pipeline with this run's
 	// worker count; nil for infeasible points.
 	pl      *mc.Pipeline
 	granted int
@@ -171,16 +173,17 @@ func (r *pointRunner) stop(reason string, acfg AdaptiveConfig) {
 	r.reason = reason
 }
 
-// finalize fills the record from the accumulated statistics. Shots and
-// ShotsGranted both report the shots actually run: every statistic is a
-// function of the granted budget, and a fixed rerun of the same grant
-// reproduces it bit-for-bit.
+// finalize fills the record from the accumulated statistics. A
+// feasible point's Shots and ShotsGranted both report the shots
+// actually run: every statistic is a function of the granted budget,
+// and a fixed rerun of the same grant reproduces it bit-for-bit. An
+// infeasible point keeps the Shots newPointRunner gave it.
 func (r *pointRunner) finalize() Record {
 	rec := r.rec
-	rec.Shots = r.granted
 	rec.ShotsGranted = r.granted
 	rec.StopReason = r.reason
 	if rec.Feasible {
+		rec.Shots = r.granted
 		rec.Estimator = EstimatorMC
 		rec.fillStats(r.tally)
 	}
@@ -189,9 +192,27 @@ func (r *pointRunner) finalize() Record {
 }
 
 // newPointRunner resolves one point and prepares its execution state
-// (infeasible points come back already stopped).
+// (infeasible points come back already stopped). The record starts with
+// the point's coordinates and derived seed; its Shots is the configured
+// budget under a fixed budget, which an infeasible point keeps, and 0
+// under an adaptive one, where it becomes the grant.
 func newPointRunner(cache *BuildCache, pt Point, cfg Config) (*pointRunner, error) {
-	r := &pointRunner{rec: newRecord(pt, cfg), started: time.Now()}
+	r := &pointRunner{started: time.Now(), rec: Record{
+		Key:           pt.Key(),
+		Policy:        pt.Policy.String(),
+		D:             pt.D,
+		TauNs:         pt.TauNs,
+		P:             pt.P,
+		Basis:         pt.Basis.String(),
+		Hardware:      pt.HW.Name,
+		CyclePNs:      pt.CyclePNs,
+		CyclePPrimeNs: pt.CyclePPrimeNs,
+		EpsNs:         pt.EpsNs,
+		Seed:          pt.Seed(cfg.Seed),
+	}}
+	if cfg.Adaptive == nil {
+		r.rec.Shots = cfg.Shots
+	}
 	spec, plan, ok := pt.Resolve()
 	r.rec.Feasible = ok
 	if !ok {
@@ -206,6 +227,9 @@ func newPointRunner(cache *BuildCache, pt Point, cfg Config) (*pointRunner, erro
 	if err != nil {
 		return nil, err
 	}
+	// Run on a shallow copy so the shared cached Pipeline is never
+	// mutated: campaigns with different worker counts can share a
+	// cache concurrently.
 	pl := *cached
 	pl.Workers = cfg.Workers
 	pl.Progress = nil
@@ -337,25 +361,4 @@ func (c *Campaign) runAdaptive(pts []Point, cfg Config, acfg AdaptiveConfig, cac
 		}
 	}
 	return sum, nil
-}
-
-// executeAdaptivePoint is ExecutePoint's adaptive mode: one point, a
-// pool of cfg.Shots. With no grid to reallocate across, adaptivity
-// here means early stopping — the point never receives more than the
-// configured budget, it just stops spending once converged. The
-// simulation service's one-point jobs go through this path.
-func executeAdaptivePoint(cache *BuildCache, pt Point, cfg Config, acfg AdaptiveConfig) (Record, error) {
-	r, err := newPointRunner(cache, pt, cfg)
-	if err != nil {
-		return Record{}, err
-	}
-	budget := 0
-	if r.rec.Feasible {
-		budget = cfg.Shots
-	}
-	allocate([]*pointRunner{r}, budget, cfg, acfg)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Record{}, err
-	}
-	return r.finalize(), nil
 }

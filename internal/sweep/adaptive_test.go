@@ -313,20 +313,21 @@ func TestAdaptiveRejectsMaxPoints(t *testing.T) {
 }
 
 // TestAdaptiveInfeasiblePoint: infeasible points are recorded with zero
-// grant and consume no budget.
+// grant and consume no budget, in a campaign and as a single point.
 func TestAdaptiveInfeasiblePoint(t *testing.T) {
 	g := Grid{
 		HW:       hardware.IBM(),
 		Policies: []core.Policy{core.ExtraRounds}, // no Diophantine solution at equal cycles
 	}
-	recs, _ := collectAdaptive(t, g, Config{Shots: 8192, Adaptive: &AdaptiveConfig{}}, nil)
-	if len(recs) != 1 || recs[0].Feasible {
-		t.Fatalf("infeasible point must yield a feasible=false record: %+v", recs)
-	}
-	rec := recs[0]
-	if rec.ShotsGranted != 0 || rec.StopReason != StopInfeasible || rec.Estimator != "" {
-		t.Fatalf("infeasible record must be (0, %q, \"\"), got (%d, %q, %q)",
-			StopInfeasible, rec.ShotsGranted, rec.StopReason, rec.Estimator)
+	for _, rec := range recordsBothWays(t, g, Config{Shots: 8192, Adaptive: &AdaptiveConfig{}}) {
+		if rec.Feasible {
+			t.Fatalf("infeasible point must yield a feasible=false record: %+v", rec)
+		}
+		// An adaptive record's shots is its grant, so 0 here.
+		if rec.Shots != 0 || rec.ShotsGranted != 0 || rec.StopReason != StopInfeasible || rec.Estimator != "" {
+			t.Fatalf("infeasible record must be (0, 0, %q, \"\"), got (%d, %d, %q, %q)",
+				StopInfeasible, rec.Shots, rec.ShotsGranted, rec.StopReason, rec.Estimator)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"latticesim/internal/obs"
 )
@@ -88,10 +87,6 @@ type Summary struct {
 	// Skipped were already in the manifest, and Infeasible of the executed
 	// points had no plan solution (they are recorded and marked done).
 	Points, Executed, Skipped, Infeasible int
-	// CacheHits / CacheMisses count build-cache outcomes across the
-	// executed points (a miss builds the spec's whole pipeline: circuit,
-	// DEM, decoder graph, sampler plan).
-	CacheHits, CacheMisses int
 	// Interrupted is true when MaxPoints ended the run before the grid was
 	// exhausted; rerunning the same campaign resumes after the manifest.
 	Interrupted bool
@@ -127,17 +122,11 @@ func (c *Campaign) Run() (Summary, error) {
 	if cache == nil {
 		cache = NewBuildCache()
 	}
-	hits0, misses0 := cache.Stats()
-
 	if cfg.Adaptive != nil {
 		if cfg.MaxPoints > 0 {
 			return Summary{}, fmt.Errorf("sweep: MaxPoints is incompatible with adaptive allocation (the pool is sized from the whole grid)")
 		}
-		sum, err := c.runAdaptive(pts, cfg, cfg.Adaptive.WithDefaults(), cache)
-		hits1, misses1 := cache.Stats()
-		sum.CacheHits = hits1 - hits0
-		sum.CacheMisses = misses1 - misses0
-		return sum, err
+		return c.runAdaptive(pts, cfg, cfg.Adaptive.WithDefaults(), cache)
 	}
 
 	sum := Summary{Points: len(pts)}
@@ -162,9 +151,6 @@ func (c *Campaign) Run() (Summary, error) {
 			return sum, err
 		}
 	}
-	hits1, misses1 := cache.Stats()
-	sum.CacheHits = hits1 - hits0
-	sum.CacheMisses = misses1 - misses0
 	return sum, nil
 }
 
@@ -203,74 +189,34 @@ func (c *Campaign) emit(sum *Summary, rec Record, position, total int) error {
 	return nil
 }
 
-// ExecutePoint executes one point: resolve the policy plan, fetch (or
-// build) the spec's artifacts, and run the shot budget on the point's
-// derived seed. It is the single-point job adapter the simulation
-// service calls directly (one queued job = one point), and exactly what
-// Campaign.Run does per point — cfg is used as given (apply WithDefaults
-// first when resolved values matter), and cache may be shared across
-// concurrent calls.
+// ExecutePoint executes one point through a pointRunner: resolve the
+// policy plan, fetch (or build) the spec's pipeline, and run shots on
+// the point's derived seed. A fixed budget is one advance to cfg.Shots;
+// an adaptive one is the allocator over a one-point pool of cfg.Shots
+// (with no grid to reallocate across, adaptivity here means early
+// stopping). It is the single-point job adapter the simulation service
+// calls (one queued job = one point) and what Campaign.Run does per
+// fixed point. cfg is used as given (apply WithDefaults first when
+// resolved values matter), and cache may be shared across concurrent
+// calls. A canceled run returns ctx's error and no record.
 func ExecutePoint(cache *BuildCache, pt Point, cfg Config) (Record, error) {
-	if cfg.Adaptive != nil {
-		return executeAdaptivePoint(cache, pt, cfg, cfg.Adaptive.WithDefaults())
-	}
-	start := time.Now()
-	rec := newRecord(pt, cfg)
 	if err := ctxErr(cfg.Ctx); err != nil {
-		return rec, err
+		return Record{}, err
 	}
-	spec, plan, ok := pt.Resolve()
-	rec.Feasible = ok
-	if ok {
-		rec.ExtraRoundsP = plan.ExtraRoundsP
-		rec.ExtraRoundsPPrime = plan.ExtraRoundsPPrime
-		rec.TotalIdleNs = plan.TotalIdleNs()
-		cached, _, err := cache.Get(spec)
-		if err != nil {
-			return rec, err
-		}
-		// Run on a shallow copy so the shared cached Pipeline is never
-		// mutated — campaigns with different worker counts can share a
-		// cache concurrently.
-		pl := *cached
-		pl.Workers = cfg.Workers
-		pl.Progress = cfg.ShotProgress
-		pl.Ctx = cfg.Ctx
-		pl.Metrics = cfg.Metrics
-		out := pl.Run(rec.Shots, rec.Seed)
-		// A canceled run's tally is partial: surface the cancellation and
-		// drop the record rather than emit non-canonical statistics.
-		if err := ctxErr(cfg.Ctx); err != nil {
-			return rec, err
-		}
-		rec.fillStats(out)
-		rec.ShotsGranted = rec.Shots
-		rec.StopReason = StopFixed
-		rec.Estimator = EstimatorMC
-	} else {
-		rec.StopReason = StopInfeasible
+	r, err := newPointRunner(cache, pt, cfg)
+	if err != nil {
+		return Record{}, err
 	}
-	rec.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
-	return rec, nil
-}
-
-// newRecord is a point's record before execution: its coordinates, its
-// derived seed and the configured shot budget.
-func newRecord(pt Point, cfg Config) Record {
-	return Record{
-		Key:           pt.Key(),
-		Policy:        pt.Policy.String(),
-		D:             pt.D,
-		TauNs:         pt.TauNs,
-		P:             pt.P,
-		Basis:         pt.Basis.String(),
-		Hardware:      pt.HW.Name,
-		CyclePNs:      pt.CyclePNs,
-		CyclePPrimeNs: pt.CyclePPrimeNs,
-		EpsNs:         pt.EpsNs,
-		Seed:          pt.Seed(cfg.Seed),
-		Shots:         cfg.Shots,
+	if cfg.Adaptive != nil {
+		allocate([]*pointRunner{r}, cfg.Shots, cfg, cfg.Adaptive.WithDefaults())
+	} else if !r.stopped {
+		r.advance(cfg.Shots, cfg)
+		r.reason = StopFixed
 	}
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Record{}, err
+	}
+	return r.finalize(), nil
 }
 
 // Collect runs the grid in memory and returns its records in canonical

@@ -413,16 +413,52 @@ func TestInfeasiblePointsAreRecorded(t *testing.T) {
 		HW:       hardware.IBM(),
 		Policies: []core.Policy{core.ExtraRounds},
 	}
-	recs, err := Collect(g, quickCfg, nil)
+	for _, rec := range recordsBothWays(t, g, quickCfg) {
+		if rec.Feasible {
+			t.Fatalf("infeasible point must yield a feasible=false record: %+v", rec)
+		}
+		// A fixed record names its budget even though it ran nothing.
+		if rec.Shots != quickCfg.Shots || rec.ShotsGranted != 0 ||
+			rec.StopReason != StopInfeasible || rec.Estimator != "" {
+			t.Fatalf("infeasible fixed record must be (shots %d, 0, %q, \"\"), got (%d, %d, %q, %q)",
+				quickCfg.Shots, StopInfeasible, rec.Shots, rec.ShotsGranted, rec.StopReason, rec.Estimator)
+		}
+		if rec.JointErrors != 0 || rec.MeanHammingWeight != 0 {
+			t.Fatalf("infeasible record must carry no statistics: %+v", rec)
+		}
+	}
+}
+
+// recordsBothWays runs g through Campaign.Run and each of its points
+// through ExecutePoint, requires the two to agree on every record
+// (wall_ms aside), and returns the records with wall_ms zeroed. Only
+// grids whose campaign gives each point cfg.Shots qualify: fixed grids,
+// and adaptive grids of one point.
+func recordsBothWays(t *testing.T, g Grid, cfg Config) []Record {
+	t.Helper()
+	recs, err := Collect(g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Feasible {
-		t.Fatalf("infeasible point must yield a feasible=false record: %+v", recs)
+	pts, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs[0].Shots != quickCfg.Shots || recs[0].JointErrors != 0 || recs[0].MeanHammingWeight != 0 {
-		t.Fatalf("infeasible record must carry no statistics: %+v", recs[0])
+	if len(recs) != len(pts) {
+		t.Fatalf("%d records for %d points", len(recs), len(pts))
 	}
+	cache := NewBuildCache()
+	for i, pt := range pts {
+		rec, err := ExecutePoint(cache, pt, cfg.WithDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i].WallMs, rec.WallMs = 0, 0
+		if rec != recs[i] {
+			t.Fatalf("Campaign.Run and ExecutePoint disagree on %s:\ncampaign: %+v\npoint:    %+v", pt.Key(), recs[i], rec)
+		}
+	}
+	return recs
 }
 
 // TestCSVMatchesJSONLSchema: every CSV row has exactly the documented

@@ -130,7 +130,7 @@ const (
 // SpecForPolicy resolves a policy into a runnable merge experiment.
 func SpecForPolicy(d int, basis Basis, hw HardwareConfig, p float64, policy Policy,
 	tauNs, cyclePNs, cyclePPrimeNs float64, epsNs int64) (MergeSpec, Plan, bool) {
-	return exp.SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
+	return sweep.SpecForPolicy(d, basis, hw, p, policy, tauNs, cyclePNs, cyclePPrimeNs, epsNs)
 }
 
 // Decoding and sampling.
@@ -204,7 +204,10 @@ type (
 	SweepAdaptive = sweep.AdaptiveConfig
 	// SweepRecord is the machine-readable result of one campaign point.
 	SweepRecord = sweep.Record
-	// SweepSummary reports what a campaign run did.
+	// SweepSummary reports what a campaign run did: points executed,
+	// skipped via the manifest and infeasible, and whether MaxPoints
+	// cut the run short. Build-cache outcomes are the cache's own
+	// (BuildCache.Stats and Usage), not the summary's.
 	SweepSummary = sweep.Summary
 	// SweepCampaign binds a grid to its outputs (sinks, manifest, cache).
 	SweepCampaign = sweep.Campaign
