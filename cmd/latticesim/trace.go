@@ -86,14 +86,9 @@ Flags:`)
 	if *scale > 0 {
 		hw = hw.Scaled(*scale)
 	}
-	var bs surface.Basis
-	switch *basis {
-	case "X", "XX":
-		bs = surface.BasisX
-	case "Z", "ZZ":
-		bs = surface.BasisZ
-	default:
-		return fmt.Errorf("unknown basis %q (X or Z)", *basis)
+	bs, err := surface.ParseBasis(*basis)
+	if err != nil {
+		return err
 	}
 	var pols []core.Policy
 	for _, s := range sweep.SplitList(*policies) {

@@ -22,7 +22,7 @@ import (
 func main() {
 	kind := flag.String("kind", "merge", "circuit kind: merge or memory")
 	d := flag.Int("d", 3, "code distance (odd)")
-	basis := flag.String("basis", "XX", "lattice surgery basis: XX or ZZ")
+	basis := flag.String("basis", "XX", "basis (X or Z; XX and ZZ also accepted)")
 	hwName := flag.String("hw", "IBM", "hardware config: IBM, Google, QuEra")
 	p := flag.Float64("p", 1e-3, "circuit-level depolarizing strength")
 	tau := flag.Float64("tau", 0, "synchronization slack in ns")
@@ -36,14 +36,9 @@ func main() {
 	if !ok {
 		fatal("unknown hardware config %q", *hwName)
 	}
-	var bs surface.Basis
-	switch *basis {
-	case "XX":
-		bs = surface.BasisX
-	case "ZZ":
-		bs = surface.BasisZ
-	default:
-		fatal("basis must be XX or ZZ")
+	bs, err := surface.ParseBasis(*basis)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	switch *kind {

@@ -381,16 +381,6 @@ func resolveHW(name string, scale, def float64) (hardware.Config, error) {
 	return hw, nil
 }
 
-func parseBasis(s string) (surface.Basis, error) {
-	switch s {
-	case "", "X", "XX":
-		return surface.BasisX, nil
-	case "Z", "ZZ":
-		return surface.BasisZ, nil
-	}
-	return 0, fmt.Errorf("unknown basis %q (X or Z)", s)
-}
-
 // resolve validates the spec and computes its content address. It is
 // the single normalization point: the server resolves every submission
 // through it, and ContentKey exposes the address it derives so clients
@@ -455,7 +445,7 @@ func resolveSweep(j SweepJob) (*resolvedJob, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q (Ideal, Passive, Active, Active-intra, ExtraRounds, Hybrid)", j.Policy)
 	}
-	basis, err := parseBasis(j.Basis)
+	basis, err := surface.ParseBasis(j.Basis)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +532,7 @@ func resolveTrace(j TraceJob) (*resolvedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	basis, err := parseBasis(j.Basis)
+	basis, err := surface.ParseBasis(j.Basis)
 	if err != nil {
 		return nil, err
 	}

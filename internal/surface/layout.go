@@ -1,6 +1,10 @@
 // Package surface generates stabilizer circuits for rotated surface code
-// patches and two-patch Lattice Surgery experiments with a per-platform
-// timing model and policy-driven idle insertion (paper §2, §6, Fig. 13).
+// experiments — a single-patch memory, a two-patch Lattice Surgery merge
+// and a k-patch chain merge (paper §2, §4.3, Fig. 13) — with a
+// per-platform timing model and policy-driven idle insertion (§6). The
+// three share one row layout and one builder: each Build is a short
+// recipe over the same steps (prepare, standalone rounds, merge,
+// readout), and the order of its steps fixes the circuit's bytes.
 //
 // Geometry. Data qubits live on an R×C grid. Plaquettes sit on the dual
 // grid (i,j), i∈0..R, j∈0..C, covering the (up to four) data qubits at
@@ -32,6 +36,18 @@ func (b Basis) String() string {
 		return "XX"
 	}
 	return "ZZ"
+}
+
+// ParseBasis maps a basis name to its Basis: "", "X" and "XX" select
+// BasisX, "Z" and "ZZ" select BasisZ.
+func ParseBasis(s string) (Basis, error) {
+	switch s {
+	case "", "X", "XX":
+		return BasisX, nil
+	case "Z", "ZZ":
+		return BasisZ, nil
+	}
+	return 0, fmt.Errorf("unknown basis %q (X or Z)", s)
 }
 
 // Region is a half-open rectangle of data qubits: rows [R0,R1), cols
@@ -197,37 +213,4 @@ func (l *Layout) PlaquettesFor(rg Region) ([]Plaquette, error) {
 		return nil, fmt.Errorf("surface: region %+v produced %d stabilizers, want %d", rg, len(out), h*w-1)
 	}
 	return out, nil
-}
-
-// classify compares a merged plaquette set against the standalone sets
-// and reports, for each merged plaquette, whether it is unchanged,
-// extended (same dual position, larger support) or new.
-type plaqChange int
-
-const (
-	plaqUnchanged plaqChange = iota
-	plaqExtended
-	plaqNew
-)
-
-func classify(merged []Plaquette, standalone ...[]Plaquette) []plaqChange {
-	prev := make(map[[2]int]int) // dual position -> weight
-	for _, set := range standalone {
-		for _, p := range set {
-			prev[[2]int{p.I, p.J}] = p.Weight
-		}
-	}
-	out := make([]plaqChange, len(merged))
-	for idx, p := range merged {
-		w, ok := prev[[2]int{p.I, p.J}]
-		switch {
-		case !ok:
-			out[idx] = plaqNew
-		case w != p.Weight:
-			out[idx] = plaqExtended
-		default:
-			out[idx] = plaqUnchanged
-		}
-	}
-	return out
 }

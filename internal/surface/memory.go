@@ -1,11 +1,8 @@
 package surface
 
 import (
-	"fmt"
-
 	"latticesim/internal/circuit"
 	"latticesim/internal/hardware"
-	"latticesim/internal/noise"
 )
 
 // MemorySpec configures a single-patch memory experiment: initialize a
@@ -36,104 +33,24 @@ type MemoryResult struct {
 	Rounds  int
 }
 
-// Build generates the memory experiment circuit.
+// Build generates the memory experiment circuit: prepare the patch, run
+// its rounds with the lumped idle before the last one, read out.
 func (s MemorySpec) Build() (*MemoryResult, error) {
-	if s.D < 3 || s.D%2 == 0 {
-		return nil, fmt.Errorf("surface: distance %d must be odd and ≥ 3", s.D)
-	}
 	if s.Rounds == 0 {
 		s.Rounds = s.D + 1
 	}
-	base := s.HW.CycleNs()
 	if s.CycleNs == 0 {
-		s.CycleNs = base
+		s.CycleNs = s.HW.CycleNs()
 	}
-	if s.CycleNs < base {
-		return nil, fmt.Errorf("surface: cycle %v below hardware base %v", s.CycleNs, base)
-	}
-	basisIsX := s.Basis == BasisX
-
-	lay := NewLayout(s.D, s.D)
-	reg := Region{0, 0, s.D, s.D}
-	plaqs, err := lay.PlaquettesFor(reg)
+	b, err := newBuilder(s.D, s.Basis, s.HW, s.P, []float64{s.CycleNs}, s.Rounds)
 	if err != nil {
 		return nil, err
 	}
-	ph := newPhase("patch", lay, reg, plaqs, s.CycleNs)
-
-	b := &builder{
-		spec:        MergeSpec{D: s.D, HW: s.HW, P: s.P, Basis: s.Basis},
-		lay:         lay,
-		c:           circuit.New(),
-		nm:          noise.Model{P: s.P, T1Ns: s.HW.T1Ns, T2Ns: s.HW.T2Ns},
-		lastMeas:    make(map[int32]int32),
-		lastMeasSet: make(map[int32]struct{}),
-		started:     make(map[int32]bool),
+	ph := b.patches[0]
+	b.prepare(ph.dataQubits, b.isX)
+	b.standalone(ph, s.Rounds, s.SpreadIdleNs, s.LumpedIdleNs, 0)
+	if err := b.readout(ph, s.Rounds, 0); err != nil {
+		return nil, err
 	}
-	c := b.c
-	for q := int32(0); q < int32(lay.NumQubits()); q++ {
-		x, y := lay.Coords(q)
-		c.QubitCoords(q, x, y)
-	}
-
-	c.Reset(ph.dataQubits...)
-	c.XError(s.P, ph.dataQubits...)
-	if basisIsX {
-		c.H(ph.dataQubits...)
-		c.Depolarize1(s.P, ph.dataQubits...)
-	}
-
-	perRound := s.SpreadIdleNs / float64(s.Rounds)
-	b.startAncillas(ph)
-	for r := 0; r < s.Rounds; r++ {
-		o := roundOpts{mode: detSteady, round: r, basisIsX: basisIsX, preIdleNs: perRound}
-		if r == 0 {
-			o.mode = detFirstStandalone
-		}
-		if r == s.Rounds-1 && s.LumpedIdleNs > 0 {
-			o.preIdleNs += s.LumpedIdleNs
-		}
-		b.round(ph, o)
-	}
-
-	if basisIsX {
-		c.H(ph.dataQubits...)
-		c.Depolarize1(s.P, ph.dataQubits...)
-	}
-	c.XError(s.P, ph.dataQubits...)
-	dataRecs := c.Measure(ph.dataQubits...)
-	recOf := make(map[int32]int32, len(ph.dataQubits))
-	for i, q := range ph.dataQubits {
-		recOf[q] = dataRecs[i]
-	}
-	for _, pl := range plaqs {
-		if pl.IsX != basisIsX {
-			continue
-		}
-		recs := []int32{b.lastMeas[pl.Anc]}
-		for _, q := range pl.Corners {
-			if q >= 0 {
-				recs = append(recs, recOf[q])
-			}
-		}
-		coords := []float64{float64(pl.J), float64(pl.I), float64(s.Rounds), checkCoord(pl.IsX)}
-		c.Detector(coords, recs...)
-	}
-
-	var obsRecs []int32
-	if basisIsX {
-		for r := 0; r < s.D; r++ {
-			obsRecs = append(obsRecs, recOf[lay.Data(r, 0)])
-		}
-	} else {
-		for cc := 0; cc < s.D; cc++ {
-			obsRecs = append(obsRecs, recOf[lay.Data(0, cc)])
-		}
-	}
-	c.Observable(0, obsRecs...)
-
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("surface: generated circuit invalid: %w", err)
-	}
-	return &MemoryResult{Circuit: c, Layout: lay, Rounds: s.Rounds}, nil
+	return &MemoryResult{Circuit: b.c, Layout: b.lay, Rounds: s.Rounds}, nil
 }

@@ -1,12 +1,8 @@
 package surface
 
 import (
-	"fmt"
-	"sort"
-
 	"latticesim/internal/circuit"
 	"latticesim/internal/hardware"
-	"latticesim/internal/noise"
 )
 
 // MergeSpec configures a two-patch Lattice Surgery experiment following
@@ -68,22 +64,16 @@ type MergeResult struct {
 	MergeRound int
 }
 
-func (s *MergeSpec) defaults() error {
-	if s.D < 3 || s.D%2 == 0 {
-		return fmt.Errorf("surface: distance %d must be odd and ≥ 3", s.D)
-	}
-	if s.P < 0 || s.P >= 0.5 {
-		return fmt.Errorf("surface: depolarizing strength %v out of range", s.P)
-	}
+// WithDefaults returns the spec with its zero defaults resolved: cycle
+// times of 0 become the hardware base cycle and round counts of 0 become
+// d+1. It validates nothing; Build rejects what is out of range.
+func (s MergeSpec) WithDefaults() MergeSpec {
 	base := s.HW.CycleNs()
 	if s.CyclePNs == 0 {
 		s.CyclePNs = base
 	}
 	if s.CyclePPrimeNs == 0 {
 		s.CyclePPrimeNs = base
-	}
-	if s.CyclePNs < base || s.CyclePPrimeNs < base {
-		return fmt.Errorf("surface: cycle times (%v, %v) below hardware base %v", s.CyclePNs, s.CyclePPrimeNs, base)
 	}
 	if s.RoundsP == 0 {
 		s.RoundsP = s.D + 1
@@ -94,460 +84,44 @@ func (s *MergeSpec) defaults() error {
 	if s.RoundsMerged == 0 {
 		s.RoundsMerged = s.D + 1
 	}
-	if s.RoundsP < 1 || s.RoundsPPrime < 1 || s.RoundsMerged < 1 {
-		return fmt.Errorf("surface: round counts must be positive")
-	}
-	return nil
+	return s
 }
 
-// patchPhase bundles the plaquettes, data qubits and timing of one
-// patch during one phase of the experiment.
-type patchPhase struct {
-	name          string
-	region        Region
-	plaqs         []Plaquette
-	dataQubits    []int32
-	participation map[int32]int
-	cycleNs       float64
-}
-
-func newPhase(name string, l *Layout, rg Region, plaqs []Plaquette, cycleNs float64) *patchPhase {
-	ph := &patchPhase{
-		name:          name,
-		region:        rg,
-		plaqs:         plaqs,
-		participation: make(map[int32]int),
-		cycleNs:       cycleNs,
-	}
-	for r := rg.R0; r < rg.R1; r++ {
-		for c := rg.C0; c < rg.C1; c++ {
-			ph.dataQubits = append(ph.dataQubits, l.Data(r, c))
-		}
-	}
-	for _, p := range plaqs {
-		for _, q := range p.Corners {
-			if q >= 0 {
-				ph.participation[q]++
-			}
-		}
-	}
-	return ph
-}
-
-func (ph *patchPhase) ancillas() []int32 {
-	out := make([]int32, len(ph.plaqs))
-	for i, p := range ph.plaqs {
-		out[i] = p.Anc
-	}
-	return out
-}
-
-func (ph *patchPhase) xAncillas() []int32 {
-	var out []int32
-	for _, p := range ph.plaqs {
-		if p.IsX {
-			out = append(out, p.Anc)
-		}
-	}
-	return out
-}
-
-// builder accumulates the experiment circuit.
-type builder struct {
-	spec        MergeSpec
-	lay         *Layout
-	c           *circuit.Circuit
-	nm          noise.Model
-	lastMeas    map[int32]int32    // ancilla qubit -> most recent record
-	lastMeasSet map[int32]struct{} // ancillas measured at least once
-	started     map[int32]bool     // ancilla has been reset at least once
-}
-
-// detMode selects the detector emission rule for a round.
-type detMode int
-
-const (
-	detFirstStandalone detMode = iota // basis-type plaquettes only, single-record
-	detSteady                         // all plaquettes, record vs previous
-	detFirstMerged                    // unchanged/extended vs previous; new feed ObsJoint
-)
-
-// roundOpts carries per-round policy idle insertions.
-type roundOpts struct {
-	mode      detMode
-	round     int          // detector round coordinate
-	preIdleNs float64      // slack idle on data before the round starts
-	intraNs   float64      // slack idle distributed inside the round (data+ancilla)
-	changes   []plaqChange // for detFirstMerged, parallel to plaqs
-	basisIsX  bool
-	// onNewPlaquette receives the first-round measurement record of each
-	// newly-introduced basis-type seam plaquette; merge experiments
-	// accumulate these into the joint logical observables.
-	onNewPlaquette func(pl Plaquette, rec int32)
-}
-
-// idleChannel annotates a Pauli-twirled idle of tau ns on the qubits.
-func (b *builder) idleChannel(tauNs float64, qubits ...int32) {
-	if tauNs <= 0 || len(qubits) == 0 {
-		return
-	}
-	px, py, pz := b.nm.IdleChannel(tauNs)
-	if px+py+pz <= 0 {
-		return
-	}
-	b.c.PauliChannel1(px, py, pz, qubits...)
-}
-
-// startAncillas resets ancillas that have not been used before.
-func (b *builder) startAncillas(ph *patchPhase) {
-	var fresh []int32
-	for _, p := range ph.plaqs {
-		if !b.started[p.Anc] {
-			b.started[p.Anc] = true
-			fresh = append(fresh, p.Anc)
-		}
-	}
-	if len(fresh) > 0 {
-		b.c.Reset(fresh...)
-		b.c.XError(b.spec.P, fresh...)
-	}
-}
-
-// round emits one syndrome-generation round for the phase.
-func (b *builder) round(ph *patchPhase, o roundOpts) {
-	c := b.c
-	p := b.spec.P
-	hw := b.spec.HW
-	intraStep := o.intraNs / 5
-	intraTargets := append(append([]int32(nil), ph.dataQubits...), ph.ancillas()...)
-
-	if o.preIdleNs > 0 {
-		b.idleChannel(o.preIdleNs, ph.dataQubits...)
-	}
-
-	// First Hadamard layer on X ancillas.
-	if xa := ph.xAncillas(); len(xa) > 0 {
-		c.H(xa...)
-		c.Depolarize1(p, xa...)
-	}
-	if intraStep > 0 {
-		b.idleChannel(intraStep, intraTargets...)
-	}
-	c.Tick()
-
-	// Four CNOT layers with the zigzag schedule.
-	for k := 0; k < 4; k++ {
-		var pairs []int32
-		for _, pl := range ph.plaqs {
-			d := pl.ScheduleTarget(k)
-			if d < 0 {
-				continue
-			}
-			if pl.IsX {
-				pairs = append(pairs, pl.Anc, d)
-			} else {
-				pairs = append(pairs, d, pl.Anc)
-			}
-		}
-		if len(pairs) > 0 {
-			c.CNOT(pairs...)
-			c.Depolarize2(p, pairs...)
-		}
-		if intraStep > 0 {
-			b.idleChannel(intraStep, intraTargets...)
-		}
-		c.Tick()
-	}
-
-	// Second Hadamard layer.
-	if xa := ph.xAncillas(); len(xa) > 0 {
-		c.H(xa...)
-		c.Depolarize1(p, xa...)
-	}
-	c.Tick()
-
-	// Measure + reset all ancillas (measurement flip before, reset flip
-	// after).
-	ancs := ph.ancillas()
-	c.XError(p, ancs...)
-	recs := c.MeasureReset(ancs...)
-	c.XError(p, ancs...)
-
-	// Idle errors accumulated by data qubits over the round: both
-	// Hadamard layers, the CNOT layers they sit out, the measure+reset
-	// window, and any cycle stretch relative to the hardware base cycle.
-	stretch := ph.cycleNs - hw.CycleNs()
-	byIdle := make(map[float64][]int32)
-	for _, q := range ph.dataQubits {
-		idle := 2*hw.Gate1Ns + float64(4-ph.participation[q])*hw.Gate2Ns +
-			hw.ReadoutNs + hw.ResetNs + stretch
-		byIdle[idle] = append(byIdle[idle], q)
-	}
-	emitIdleGroups(b, byIdle)
-	// Ancilla idle: layers where a weight<4 plaquette has no CNOT, plus
-	// the Hadamard layers for Z ancillas, plus cycle stretch.
-	ancIdle := make(map[float64][]int32)
-	for _, pl := range ph.plaqs {
-		idle := float64(4-pl.Weight)*hw.Gate2Ns + stretch
-		if !pl.IsX {
-			idle += 2 * hw.Gate1Ns
-		}
-		if idle > 0 {
-			ancIdle[idle] = append(ancIdle[idle], pl.Anc)
-		}
-	}
-	emitIdleGroups(b, ancIdle)
-
-	// Detectors.
-	for i, pl := range ph.plaqs {
-		rec := recs[i]
-		prev := b.lastMeas[pl.Anc]
-		_, hasPrev := b.lastMeasSet[pl.Anc]
-		coords := []float64{float64(pl.J), float64(pl.I), float64(o.round), checkCoord(pl.IsX)}
-		switch o.mode {
-		case detFirstStandalone:
-			if pl.IsX == o.basisIsX {
-				b.c.Detector(coords, rec)
-			}
-		case detSteady:
-			if hasPrev {
-				b.c.Detector(coords, rec, prev)
-			}
-		case detFirstMerged:
-			switch o.changes[i] {
-			case plaqUnchanged, plaqExtended:
-				if hasPrev {
-					b.c.Detector(coords, rec, prev)
-				}
-			case plaqNew:
-				if pl.IsX == o.basisIsX && o.onNewPlaquette != nil {
-					o.onNewPlaquette(pl, rec)
-				}
-			}
-		}
-		b.lastMeas[pl.Anc] = rec
-		b.lastMeasSet[pl.Anc] = struct{}{}
-	}
-	c.Tick()
-}
-
-// emitIdleGroups emits one idle channel per distinct duration, in sorted
-// order so generated circuits are byte-for-byte reproducible.
-func emitIdleGroups(b *builder, groups map[float64][]int32) {
-	durations := make([]float64, 0, len(groups))
-	for d := range groups {
-		durations = append(durations, d)
-	}
-	sort.Float64s(durations)
-	for _, d := range durations {
-		b.idleChannel(d, groups[d]...)
-	}
-}
-
-func checkCoord(isX bool) float64 {
-	if isX {
-		return circuit.CheckX
-	}
-	return circuit.CheckZ
-}
-
-// Build generates the experiment circuit.
+// Build generates the experiment circuit. Both patches are prepared
+// before either runs, P's rounds (with its spread and intra-round
+// idles) precede P′'s, and P's lumped idle comes last, just before the
+// buffer is prepared and the patches merge.
 func (s MergeSpec) Build() (*MergeResult, error) {
-	if err := s.defaults(); err != nil {
-		return nil, err
-	}
-	d := s.D
-	basisIsX := s.Basis == BasisX
-
-	var lay *Layout
-	var regP, regPPrime, regMerged Region
-	if basisIsX {
-		// Horizontal merge: P | buffer column | P′.
-		lay = NewLayout(d, 2*d+1)
-		regP = Region{0, 0, d, d}
-		regPPrime = Region{0, d + 1, d, 2*d + 1}
-		regMerged = Region{0, 0, d, 2*d + 1}
-	} else {
-		// Vertical merge: P over buffer row over P′.
-		lay = NewLayout(2*d+1, d)
-		regP = Region{0, 0, d, d}
-		regPPrime = Region{d + 1, 0, 2*d + 1, d}
-		regMerged = Region{0, 0, 2*d + 1, d}
-	}
-
-	plaqsP, err := lay.PlaquettesFor(regP)
+	s = s.WithDefaults()
+	b, err := newBuilder(s.D, s.Basis, s.HW, s.P, []float64{s.CyclePNs, s.CyclePPrimeNs},
+		s.RoundsP, s.RoundsPPrime, s.RoundsMerged)
 	if err != nil {
 		return nil, err
 	}
-	plaqsPPrime, err := lay.PlaquettesFor(regPPrime)
-	if err != nil {
-		return nil, err
-	}
-	plaqsMerged, err := lay.PlaquettesFor(regMerged)
-	if err != nil {
-		return nil, err
-	}
-	changes := classify(plaqsMerged, plaqsP, plaqsPPrime)
-
-	phP := newPhase("P", lay, regP, plaqsP, s.CyclePNs)
-	phPPrime := newPhase("P'", lay, regPPrime, plaqsPPrime, s.CyclePPrimeNs)
-	mergedCycle := s.CyclePNs
-	if s.CyclePPrimeNs > mergedCycle {
-		mergedCycle = s.CyclePPrimeNs
-	}
-	phM := newPhase("merged", lay, regMerged, plaqsMerged, mergedCycle)
-
-	b := &builder{
-		spec:        s,
-		lay:         lay,
-		c:           circuit.New(),
-		nm:          noise.Model{P: s.P, T1Ns: s.HW.T1Ns, T2Ns: s.HW.T2Ns},
-		lastMeas:    make(map[int32]int32),
-		lastMeasSet: make(map[int32]struct{}),
-		started:     make(map[int32]bool),
-	}
-	c := b.c
-
-	for q := int32(0); q < int32(lay.NumQubits()); q++ {
-		x, y := lay.Coords(q)
-		c.QubitCoords(q, x, y)
-	}
-
-	// Initialize patch data (|0⟩ for ZZ, |+⟩ for XX).
-	initData := func(ph *patchPhase) {
-		c.Reset(ph.dataQubits...)
-		c.XError(s.P, ph.dataQubits...)
-		if basisIsX {
-			c.H(ph.dataQubits...)
-			c.Depolarize1(s.P, ph.dataQubits...)
-		}
-	}
-	initData(phP)
-	initData(phPPrime)
-
-	// Pre-merge rounds for P (with policy idles) and P′.
-	perRound := 0.0
-	if s.RoundsP > 0 {
-		perRound = s.SpreadIdleNs / float64(s.RoundsP)
-	}
-	b.startAncillas(phP)
-	for r := 0; r < s.RoundsP; r++ {
-		o := roundOpts{mode: detSteady, round: r, basisIsX: basisIsX, preIdleNs: perRound}
-		if r == 0 {
-			o.mode = detFirstStandalone
-		}
-		if r == s.RoundsP-1 {
-			o.intraNs = s.IntraIdleNs
-		}
-		b.round(phP, o)
-	}
-	b.startAncillas(phPPrime)
-	for r := 0; r < s.RoundsPPrime; r++ {
-		o := roundOpts{mode: detSteady, round: r, basisIsX: basisIsX}
-		if r == 0 {
-			o.mode = detFirstStandalone
-		}
-		b.round(phPPrime, o)
-	}
-
+	phP, phPPrime := b.patches[0], b.patches[1]
+	b.prepare(phP.dataQubits, b.isX)
+	b.prepare(phPPrime.dataQubits, b.isX)
+	b.standalone(phP, s.RoundsP, s.SpreadIdleNs, 0, s.IntraIdleNs)
+	b.standalone(phPPrime, s.RoundsPPrime, 0, 0, 0)
 	// The Passive policy's lumped wait right before Lattice Surgery.
-	if s.LumpedIdleNs > 0 {
-		b.idleChannel(s.LumpedIdleNs, phP.dataQubits...)
+	b.idleChannel(s.LumpedIdleNs, phP.dataQubits...)
+	// The buffer starts in |0⟩ for XX merges and |+⟩ for ZZ merges, so
+	// the extended seam checks stay deterministic across the merge.
+	b.prepare(b.buffer, !b.isX)
+	pre := max(s.RoundsP, s.RoundsPPrime)
+	if err := b.merge(pre, s.RoundsMerged); err != nil {
+		return nil, err
 	}
-
-	// Buffer initialization: |0⟩ for XX merges, |+⟩ for ZZ merges, so the
-	// extended seam checks stay deterministic across the merge.
-	var buffer []int32
-	if basisIsX {
-		for r := 0; r < d; r++ {
-			buffer = append(buffer, lay.Data(r, d))
-		}
-	} else {
-		for cc := 0; cc < d; cc++ {
-			buffer = append(buffer, lay.Data(d, cc))
-		}
-	}
-	c.Reset(buffer...)
-	c.XError(s.P, buffer...)
-	if !basisIsX {
-		c.H(buffer...)
-		c.Depolarize1(s.P, buffer...)
-	}
-
-	// Merged rounds.
-	preRounds := s.RoundsP
-	if s.RoundsPPrime > preRounds {
-		preRounds = s.RoundsPPrime
-	}
-	mergeRound := preRounds
-	var jointRecs []int32
-	b.startAncillas(phM)
-	for r := 0; r < s.RoundsMerged; r++ {
-		o := roundOpts{mode: detSteady, round: preRounds + r, basisIsX: basisIsX}
-		if r == 0 {
-			o.mode = detFirstMerged
-			o.changes = changes
-			o.onNewPlaquette = func(_ Plaquette, rec int32) {
-				jointRecs = append(jointRecs, rec)
-			}
-		}
-		b.round(phM, o)
-	}
-	c.Observable(ObsJoint, jointRecs...)
-
-	// Transversal readout of all data qubits in the experiment basis.
-	allData := phM.dataQubits
-	if basisIsX {
-		c.H(allData...)
-		c.Depolarize1(s.P, allData...)
-	}
-	c.XError(s.P, allData...)
-	dataRecs := c.Measure(allData...)
-	recOf := make(map[int32]int32, len(allData))
-	for i, q := range allData {
-		recOf[q] = dataRecs[i]
-	}
-
-	// Reconstructed final-round detectors for basis-type plaquettes.
-	finalRound := preRounds + s.RoundsMerged
-	for _, pl := range plaqsMerged {
-		if pl.IsX != basisIsX {
-			continue
-		}
-		recs := []int32{b.lastMeas[pl.Anc]}
-		for _, q := range pl.Corners {
-			if q >= 0 {
-				recs = append(recs, recOf[q])
-			}
-		}
-		coords := []float64{float64(pl.J), float64(pl.I), float64(finalRound), checkCoord(pl.IsX)}
-		c.Detector(coords, recs...)
-	}
-
-	// Single-patch logical observable: X_P = column 0 (BasisX) or
-	// Z_P = row 0 (BasisZ) of patch P.
-	var singleRecs []int32
-	if basisIsX {
-		for r := 0; r < d; r++ {
-			singleRecs = append(singleRecs, recOf[lay.Data(r, 0)])
-		}
-	} else {
-		for cc := 0; cc < d; cc++ {
-			singleRecs = append(singleRecs, recOf[lay.Data(0, cc)])
-		}
-	}
-	c.Observable(ObsSingle, singleRecs...)
-
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("surface: generated circuit invalid: %w", err)
+	if err := b.readout(b.merged, pre+s.RoundsMerged, ObsSingle); err != nil {
+		return nil, err
 	}
 	return &MergeResult{
-		Circuit:      c,
-		Layout:       lay,
+		Circuit:      b.c,
+		Layout:       b.lay,
 		Spec:         s,
 		RoundsP:      s.RoundsP,
 		RoundsPPrime: s.RoundsPPrime,
 		RoundsMerged: s.RoundsMerged,
-		MergeRound:   mergeRound,
+		MergeRound:   pre,
 	}, nil
 }

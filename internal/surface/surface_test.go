@@ -138,3 +138,17 @@ func TestMergeCircuitShape(t *testing.T) {
 		t.Fatalf("merge round %d, want %d", res.MergeRound, res.RoundsP)
 	}
 }
+
+// TestParseBasis: the one basis parser every entry point shares.
+func TestParseBasis(t *testing.T) {
+	for in, want := range map[string]Basis{"": BasisX, "X": BasisX, "XX": BasisX, "Z": BasisZ, "ZZ": BasisZ} {
+		if got, err := ParseBasis(in); err != nil || got != want {
+			t.Errorf("ParseBasis(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"Y", "xx", "XZ"} {
+		if _, err := ParseBasis(in); err == nil || err.Error() != `unknown basis "`+in+`" (X or Z)` {
+			t.Errorf("ParseBasis(%q) error %v", in, err)
+		}
+	}
+}

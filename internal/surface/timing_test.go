@@ -145,6 +145,16 @@ func TestMemorySpecValidation(t *testing.T) {
 	if _, err := (MergeSpec{D: 3, HW: hardware.IBM(), RoundsP: -1}).Build(); err == nil {
 		t.Error("negative rounds accepted")
 	}
+	// MemorySpec validates d, p and rounds like its siblings.
+	if _, err := (MemorySpec{D: 3, HW: hardware.IBM(), Rounds: -2}).Build(); err == nil {
+		t.Error("memory: negative rounds accepted")
+	}
+	if _, err := (MemorySpec{D: 3, HW: hardware.IBM(), P: 0.7}).Build(); err == nil {
+		t.Error("memory: absurd noise strength accepted")
+	}
+	if _, err := (MemorySpec{D: 3, HW: hardware.IBM(), P: -0.1}).Build(); err == nil {
+		t.Error("memory: negative noise strength accepted")
+	}
 }
 
 // TestScheduleTargets: the zigzag schedules hit each corner exactly once.

@@ -84,9 +84,10 @@ func NewBuildCache() *BuildCache {
 }
 
 // SpecKey returns the canonical identity of a merge spec's build
-// artifacts. Defaulted fields are resolved first (round counts of 0 mean
-// d+1, cycle times of 0 mean the hardware base cycle), so a spec written
-// with explicit defaults and one relying on them hash identically.
+// artifacts. Defaulted fields are resolved first by MergeSpec.WithDefaults
+// (round counts of 0 mean d+1, cycle times of 0 mean the hardware base
+// cycle), so a spec written with explicit defaults and one relying on
+// them hash identically.
 //
 // Stability contract: SpecKey strings are inputs to DeriveSeed (the
 // trace simulator keys merge-event seeds on them) and to the service
@@ -96,22 +97,7 @@ func NewBuildCache() *BuildCache {
 // appending fields whose zero value renders identically for existing
 // specs. TestKeyAndSeedStability pins a current value.
 func SpecKey(s surface.MergeSpec) string {
-	base := s.HW.CycleNs()
-	if s.CyclePNs == 0 {
-		s.CyclePNs = base
-	}
-	if s.CyclePPrimeNs == 0 {
-		s.CyclePPrimeNs = base
-	}
-	if s.RoundsP == 0 {
-		s.RoundsP = s.D + 1
-	}
-	if s.RoundsPPrime == 0 {
-		s.RoundsPPrime = s.D + 1
-	}
-	if s.RoundsMerged == 0 {
-		s.RoundsMerged = s.D + 1
-	}
+	s = s.WithDefaults()
 	return "d=" + strconv.Itoa(s.D) +
 		" basis=" + s.Basis.String() +
 		" hw=" + HardwareKey(s.HW) +

@@ -82,14 +82,11 @@ func ParseGridSpec(spec GridSpec) (Grid, error) {
 		return g, fmt.Errorf("cycle P': %w", err)
 	}
 	for _, s := range SplitList(spec.Bases) {
-		switch s {
-		case "X", "XX":
-			g.Bases = append(g.Bases, surface.BasisX)
-		case "Z", "ZZ":
-			g.Bases = append(g.Bases, surface.BasisZ)
-		default:
-			return g, fmt.Errorf("unknown basis %q (X or Z)", s)
+		b, err := surface.ParseBasis(s)
+		if err != nil {
+			return g, err
 		}
+		g.Bases = append(g.Bases, b)
 	}
 	return g, nil
 }
